@@ -7,18 +7,17 @@ trained with a three-term objective on a minimal reverse-mode tape.
 """
 
 from .autodiff import (Tensor, backward, constant, cosine_sim, finite_difference_check,
-                       forward_primitive, parameter, reset_tape)
+                       parameter, reset_tape)
 from .bank import AttributeBank, Selection, compose_text_input, init_bank, score, select_top_c
 from .data_io import (SyntheticSpec, Task, TaskStream, generate_synthetic,
                       generate_synthetic_pair, read_checkpoint, read_embedding_file,
                       write_checkpoint, write_embedding_file)
 from .encoders import FrozenEncoderPair, ImageSample, TokenSequence
-from .evaluation import (AccuracyMatrix, CdclReport, average_accuracy, backward_transfer,
-                         evaluate, forward_transfer, run_cdcl)
+from .evaluation import AccuracyMatrix, CdclReport, average_accuracy, evaluate, run_cdcl
 from .objective import (DistanceVariant, LossBreakdown, classification_loss,
                         key_matching_loss, predict_probabilities,
                         prompt_orthogonality_loss, total_loss)
-from .trainer import (LearnerState, TrainConfig, init_state, lr_at, run_sequence,
-                      shared_prompt_baseline_step, train_step, train_task)
+from .trainer import (LearnerState, TrainConfig, forward, init_state, lr_at, preset,
+                      run_sequence, train_step, train_task)
 
 __version__ = "0.1.0"

@@ -10,9 +10,9 @@ Supported primitives: matmul, add, mul, scale, concat, transpose, l2norm,
 cosine_sim, softmax_logits, neg_log_prob, abs, sum, mean. No broadcasting
 beyond scalar-tensor; shapes are checked explicitly per primitive.
 
-Tape construction and backward are single-threaded (one training step owns
-the tape). Tensors with requires_grad=False never record, so evaluation over
-constants is a pure function and safe to run from multiple threads.
+The tape is module-global and single-threaded: one forward pass owns it
+until the next ``reset_tape``. Tensors with requires_grad=False never
+record, so evaluation over constants leaves the tape untouched.
 """
 
 from __future__ import annotations
@@ -367,34 +367,6 @@ def mean_all(a: Tensor) -> Tensor:
     return _record("mean", (a,), out, grad_fn)
 
 
-_PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "scale": scale,
-    "concat": lambda *ts: concat(ts),
-    "transpose": transpose,
-    "l2norm": l2norm,
-    "cosine_sim": cosine_sim,
-    "softmax_logits": softmax_logits,
-    "neg_log_prob": neg_log_prob,
-    "abs": absolute,
-    "sum": sum_all,
-    "mean": mean_all,
-}
-
-
-def forward_primitive(op_kind: str, inputs, **params) -> Tensor:
-    """Uniform dispatcher over the primitive set (name -> function)."""
-    try:
-        fn = _PRIMITIVES[op_kind]
-    except KeyError:
-        raise ShapeError(f"unknown primitive {op_kind!r}") from None
-    if op_kind == "concat":
-        return fn(*inputs)
-    return fn(*inputs, **params)
-
-
 # ---------------------------------------------------------------------------
 # backward pass and verification
 
@@ -425,14 +397,18 @@ def backward(loss: Tensor) -> None:
                 t.grad += g
 
 
-def finite_difference_check(f, at: Tensor, h: float = 1e-5) -> float:
+def finite_difference_check(f, at, h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``f`` maps a tensor to a scalar Tensor and must be deterministic. Returns
-    max over coordinates of |analytic - numeric| / max(1, |numeric|).
+    ``at`` is one tensor or a list of them; ``f(at)`` must return a scalar
+    Tensor deterministically. Returns the max over every coordinate of every
+    tensor of |analytic - numeric| / max(1, |numeric|).
     """
     if h <= 0:
         raise ValueError("finite_difference_check: h must be positive")
+    tensors = at if isinstance(at, (list, tuple)) else [at]
+    for t in tensors:
+        t.grad = None
     reset_tape()
     out = f(at)
     if out.shape != ():
@@ -440,25 +416,26 @@ def finite_difference_check(f, at: Tensor, h: float = 1e-5) -> float:
     if not np.isfinite(out.values):
         raise NumericError("finite_difference_check: f produced a non-finite value")
     backward(out)
-    if at.grad is not None:
-        analytic = at.grad.reshape(-1).copy()
-    else:
-        analytic = np.zeros(at.size)
+    analytic = [t.grad.reshape(-1).copy() if t.grad is not None else np.zeros(t.size)
+                for t in tensors]
 
-    flat = at.values.reshape(-1)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        reset_tape()
-        fp = float(f(at).values)
-        flat[i] = orig - h
-        reset_tape()
-        fm = float(f(at).values)
-        flat[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(f"finite_difference_check: non-finite f at coordinate {i}")
-        numeric[i] = (fp - fm) / (2.0 * h)
+    worst = 0.0
+    for t, grad in zip(tensors, analytic):
+        flat = t.values.reshape(-1)
+        numeric = np.zeros_like(flat)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            reset_tape()
+            fp = float(f(at).values)
+            flat[i] = orig - h
+            reset_tape()
+            fm = float(f(at).values)
+            flat[i] = orig
+            if not (np.isfinite(fp) and np.isfinite(fm)):
+                raise NumericError(f"finite_difference_check: non-finite f at coordinate {i}")
+            numeric[i] = (fp - fm) / (2.0 * h)
+        rel = np.abs(grad - numeric) / np.maximum(1.0, np.abs(numeric))
+        worst = max(worst, float(rel.max()) if rel.size else 0.0)
     reset_tape()
-    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
-    return float(rel.max()) if rel.size else 0.0
+    return worst

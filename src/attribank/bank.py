@@ -73,12 +73,16 @@ class Selection:
         return tuple(self.indices)
 
 
-def init_bank(n: int, m: int, d: int, seed: int) -> AttributeBank:
-    """Seeded bank: keys ~ N(0, 1/d) per entry, prompt tokens ~ N(0, 0.02^2)."""
+def init_bank(n: int, m: int, d: int, seed: int,
+              prompt_context: int = _CTX_PROMPTS) -> AttributeBank:
+    """Seeded bank: keys ~ N(0, 1/d) per entry, prompt tokens ~ N(0, 0.02^2).
+
+    ``prompt_context`` names the stream the prompts are drawn from.
+    """
     if n < 1 or m < 1 or d < 1:
         raise ValueError(f"bank dimensions must be positive, got n={n} m={m} d={d}")
     key_rows = keyed_rng(seed, _CTX_KEYS).standard_normal((n, d)) / np.sqrt(d)
-    prompt_rows = keyed_rng(seed, _CTX_PROMPTS).standard_normal((n, m, d)) * PROMPT_INIT_STD
+    prompt_rows = keyed_rng(seed, prompt_context).standard_normal((n, m, d)) * PROMPT_INIT_STD
     keys = [ad.parameter(key_rows[i]) for i in range(n)]
     prompts = [ad.parameter(prompt_rows[i]) for i in range(n)]
     bank = AttributeBank(keys=keys, prompts=prompts, n=n, m=m, d=d)
@@ -110,6 +114,19 @@ def select_top_c(z: np.ndarray, bank: AttributeBank, c: int) -> Selection:
                      distances=[float(distances[i]) for i in order])
 
 
+def route(z: np.ndarray, bank: AttributeBank | None, c: int) -> Selection | None:
+    """The bank entries an image is routed to: its top-C keys.
+
+    A one-entry bank routes every image to entry 0 without scoring it (the
+    selection then carries no distances); with no bank there is no routing.
+    """
+    if bank is None:
+        return None
+    if bank.n == 1:
+        return Selection(indices=[0], distances=[])
+    return select_top_c(z, bank, c)
+
+
 def compose_text_input(sel: Selection, bank: AttributeBank,
                        class_token: TokenSequence) -> TokenSequence:
     """Concatenate the selected prompts, in selection order, then the class tokens.
@@ -126,3 +143,21 @@ def compose_text_input(sel: Selection, bank: AttributeBank,
     parts = [bank.prompts[i] for i in sel.indices]
     parts.append(class_token.tokens)
     return TokenSequence(ad.concat(parts))
+
+
+def class_text_embeddings(encoders, bank: AttributeBank | None, sel: Selection | None,
+                          class_seqs: list, cache: dict) -> list:
+    """Text embeddings of every candidate class under one selection.
+
+    ``cache`` keeps one entry per selection, holding all candidates in the
+    order of ``class_seqs``. With no selection the class tokens are encoded
+    alone. On a parameter bank the embeddings are on the tape; on
+    ``frozen_view()`` they are constants.
+    """
+    key = None if sel is None else sel.index_tuple
+    embs = cache.get(key)
+    if embs is None:
+        embs = [encoders.encode_text(seq if sel is None else compose_text_input(sel, bank, seq))
+                for seq in class_seqs]
+        cache[key] = embs
+    return embs

@@ -8,10 +8,13 @@ Subcommands:
   sweep      repeat a training run along one hyperparameter axis
   report     merge run directories (or bundled reference fixtures) into tables
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 numeric failure.
-Every command is a deterministic function of (config, seed, input files):
-rerunning produces byte-identical metric JSON. The ATTRIBANK_THREADS
-environment variable caps evaluation parallelism.
+Modes are presets of one learner: attriclip (the bank), shared_prompt (a
+one-entry bank without the key term) and zero_shot (no bank, no training).
+
+Exit codes: 0 success, 1 configuration error, 2 data error, 3 numeric failure;
+a task that fails mid-sequence exits with the code of its cause. Every
+command is a deterministic function of (config, seed, input files):
+rerunning produces byte-identical metric JSON.
 
 Typical usage:
 
@@ -27,20 +30,17 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from importlib import resources
 
-import numpy as np
-
 from . import __version__
 from . import autodiff as ad
 from . import data_io as dio
-from .bank import compose_text_input, select_top_c
 from .evaluation import AccuracyMatrix, average_accuracy, run_cdcl
-from .objective import (classification_loss, key_matching_loss,
-                        prompt_orthogonality_loss, total_loss)
-from .trainer import MODES, TrainConfig, init_state, run_sequence
+from .objective import total_loss
+from .trainer import MODES, SequenceError, TrainConfig, forward, init_state, preset, run_sequence
 from .util import canonical_json, content_hash, dump_json
 
 
@@ -134,6 +134,9 @@ def _matrix_csv(matrix: AccuracyMatrix, label: str, path: str) -> None:
         f.write(matrix.to_csv(label))
 
 
+_CKPT_NAME = re.compile(r"after_task_(\d+)\.ckpt")
+
+
 def cmd_train(args) -> int:
     raw = _load_json(args.config)
     cfg = _parse_train_config(raw, args.seed)
@@ -153,13 +156,15 @@ def cmd_train(args) -> int:
     matrix = None
     start_task = 0
     if args.resume:
-        ckpts = sorted(os.listdir(os.path.join(out, "checkpoints")))
+        ckpts = {int(m.group(1)): m.group(0) for m in
+                 map(_CKPT_NAME.fullmatch, os.listdir(os.path.join(out, "checkpoints"))) if m}
         if ckpts:
-            state, cfg = dio.read_checkpoint(os.path.join(out, "checkpoints", ckpts[-1]))
+            state, cfg = dio.read_checkpoint(os.path.join(out, "checkpoints", ckpts[max(ckpts)]))
             matrix = AccuracyMatrix.from_dict(
                 _load_json(os.path.join(out, "accuracy_matrix.json")))
             start_task = state.tasks_done
             mode = state.mode
+    cfg = preset(mode, cfg)
 
     def hook(st, t, m, report):
         dio.write_checkpoint(st, cfg, os.path.join(out, "checkpoints", f"after_task_{t:02d}.ckpt"))
@@ -222,123 +227,48 @@ def cmd_cdcl(args) -> int:
 # gradient verification
 
 
-def _gradcheck_instance(seed: int, n: int, m: int, d: int, k: int, batch: int, distance: str):
-    spec = dio.SyntheticSpec(num_latent_attributes=max(4, k), attributes_per_class=2,
-                             num_tasks=1, classes_per_task=k, samples_per_class=max(2, batch),
-                             feature_dim=d, noise_sigma=0.1, seed=seed)
-    stream = dio.generate_synthetic(spec)
-    cfg = TrainConfig(n=n, m=m, c=min(3, n - 1) if distance == "triplet" else min(3, n),
-                      tau=0.05, seed=seed, distance=distance)
-    state = init_state("attriclip", cfg, stream)
-    for task in stream.tasks:
-        for cid in task.class_ids:
-            state.register_class(cid, stream.class_tokens[cid])
-    samples = stream.tasks[0].train[:batch]
-    return state, cfg, samples
+def _pinned_objective(state, samples, cfg, corrupt: float):
+    """The training objective of ``state`` with the routing pinned at its current point."""
+    routing = forward(state, samples, cfg)[3]
+    params = state.trainable_parameters()
 
+    def loss(_):
+        l_m, l_k, l_p, _ = forward(state, samples, cfg, routing)
+        total = total_loss(l_m, l_k, l_p, cfg.lambda_k, cfg.lambda_p)
+        if corrupt:  # a constant to the tape, so no analytic gradient sees its slope
+            total = ad.add(total, corrupt * sum(float(p.values.sum()) for p in params))
+        return total
 
-def _attriclip_loss_fn(state, cfg, samples):
-    """Full objective with per-image routing frozen at the base point.
-
-    The hard top-C choice and the triplet negative's distance are pinned, so
-    central differences measure the same locally smooth branch the analytic
-    (stop-gradient) gradients live on.
-    """
-    from .bank import score
-
-    zs = [state.encoders.encode_image(s) for s in samples]
-    sels = [select_top_c(z, state.bank, cfg.c) for z in zs]
-    negs = [None] * len(samples)
-    if cfg.distance.kind == "triplet":
-        negs = [min(score(z, state.bank.keys[i].values)
-                    for i in range(state.bank.n) if i not in set(sel.indices))
-                for z, sel in zip(zs, sels)]
-    candidates = state.seen_classes()
-
-    def compute():
-        entries = []
-        lk_terms = []
-        for s, z, sel, neg in zip(samples, zs, sels, negs):
-            embs = [state.encoders.encode_text(
-                compose_text_input(sel, state.bank, state.class_token_seq(cid)))
-                for cid in candidates]
-            entries.append((z, candidates.index(s.label), embs))
-            lk_terms.append(key_matching_loss(z, sel, state.bank, cfg.distance,
-                                              frozen_negative=neg))
-        l_m = classification_loss(entries, cfg.tau)
-        l_k = ad.scale(ad.sum_all(ad.concat(lk_terms)), 1.0 / len(samples))
-        l_p = prompt_orthogonality_loss(state.bank, state.encoders)
-        return total_loss(l_m, l_k, l_p, cfg.lambda_k, cfg.lambda_p)
-
-    return compute
-
-
-def _group_max_fd_error(loss_fn, tensors, h: float = 1e-5, corrupt: float = 0.0) -> float:
-    ad.reset_tape()
-    out = loss_fn()
-    ad.backward(out)
-    analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.values)
-                for t in tensors]
-    ad.reset_tape()
-    if corrupt:
-        analytic = [g + corrupt for g in analytic]
-    worst = 0.0
-    for t, g in zip(tensors, analytic):
-        flat = t.values.reshape(-1)
-        gf = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            ad.reset_tape()
-            fp = float(loss_fn().values)
-            flat[i] = orig - h
-            ad.reset_tape()
-            fm = float(loss_fn().values)
-            flat[i] = orig
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise ad.NumericError(f"non-finite loss during finite differences at {i}")
-            numeric = (fp - fm) / (2 * h)
-            rel = abs(gf[i] - numeric) / max(1.0, abs(numeric))
-            worst = max(worst, rel)
-    ad.reset_tape()
-    return worst
+    return loss
 
 
 def gradient_check_report(seed: int, n: int, m: int, d: int, k: int, batch: int,
                           distance: str = "cosine", corrupt: float = 0.0) -> dict:
-    """Max relative gradient error per parameter group, at small sizes."""
-    state, cfg, samples = _gradcheck_instance(seed, n, m, d, k, batch, distance)
-    loss_fn = _attriclip_loss_fn(state, cfg, samples)
-    result = {
-        "keys": _group_max_fd_error(loss_fn, state.bank.keys, corrupt=corrupt),
-        "prompts": _group_max_fd_error(loss_fn, state.bank.prompts, corrupt=corrupt),
-    }
+    """Max relative gradient error per parameter group, at small sizes.
 
+    Every group is checked through ``trainer.forward`` with the routing
+    pinned at the base point: the hard top-C choice and the triplet negative
+    stay fixed, so central differences measure the same locally smooth
+    branch the analytic (stop-gradient) gradients live on. ``corrupt`` adds
+    that much times the sum of all parameters to the loss, out of the tape's
+    sight, so every check must fail.
+    """
     spec = dio.SyntheticSpec(num_latent_attributes=max(4, k), attributes_per_class=2,
                              num_tasks=1, classes_per_task=k, samples_per_class=max(2, batch),
                              feature_dim=d, noise_sigma=0.1, seed=seed)
     stream = dio.generate_synthetic(spec)
-    cfg_sp = TrainConfig(n=n, m=m, c=1, tau=0.05, seed=seed)
-    sp_state = init_state("shared_prompt", cfg_sp, stream)
-    for task in stream.tasks:
-        for cid in task.class_ids:
-            sp_state.register_class(cid, stream.class_tokens[cid])
-    sp_samples = stream.tasks[0].train[:batch]
-    sp_zs = [sp_state.encoders.encode_image(s) for s in sp_samples]
-    sp_candidates = sp_state.seen_classes()
-
-    def sp_loss():
-        from .encoders import TokenSequence
-        embs = {cid: sp_state.encoders.encode_text(TokenSequence(ad.concat(
-            [sp_state.shared_prompt, sp_state.class_token_seq(cid).tokens])))
-            for cid in sp_candidates}
-        entries = [(z, sp_candidates.index(s.label), [embs[c] for c in sp_candidates])
-                   for z, s in zip(sp_zs, sp_samples)]
-        return classification_loss(entries, cfg_sp.tau)
-
-    result["shared_prompt"] = _group_max_fd_error(sp_loss, [sp_state.shared_prompt],
-                                                  corrupt=corrupt)
-    return result
+    samples = stream.tasks[0].train[:batch]
+    base = TrainConfig(n=n, m=m, c=min(3, n - 1) if distance == "triplet" else min(3, n),
+                       tau=0.05, seed=seed, distance=distance)
+    attr, shared = (init_state(mode, base, stream) for mode in ("attriclip", "shared_prompt"))
+    for state in (attr, shared):
+        for cid in stream.tasks[0].class_ids:
+            state.register_class(cid, stream.class_tokens[cid])
+    loss = _pinned_objective(attr, samples, base, corrupt)
+    shared_loss = _pinned_objective(shared, samples, preset("shared_prompt", base), corrupt)
+    return {"keys": ad.finite_difference_check(loss, attr.bank.keys),
+            "prompts": ad.finite_difference_check(loss, attr.bank.prompts),
+            "shared_prompt": ad.finite_difference_check(shared_loss, shared.bank.prompts)}
 
 
 def cmd_gradcheck(args) -> int:
@@ -421,7 +351,7 @@ def cmd_report(args) -> int:
     if args.fixtures:
         tables = _load_reference_tables()
         rows = []
-        for name, key in (("forward_transfer", "ft"), ("backward_transfer", "bt")):
+        for name in ("forward_transfer", "backward_transfer"):  # fixture table names
             for row in tables[name]["rows"]:
                 recomputed = row["transferred"] - row["scratch"]
                 rows.append([name, row["method"], row["memory"], row["scratch"],
@@ -521,20 +451,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+_EXIT_CODES = ((ConfigError, "config error", 1), (dio.DataError, "data error", 2),
+               (ad.NumericError, "numeric failure", 3))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-    except dio.DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except ad.NumericError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 3
+    except (ConfigError, dio.DataError, ad.NumericError, SequenceError) as e:
+        # A task that fails mid-sequence exits with the code of its cause.
+        cause = e.__cause__ if isinstance(e, SequenceError) else e
+        for kind, label, code in _EXIT_CODES:
+            if isinstance(cause, kind):
+                print(f"{label}: {e}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -400,8 +400,6 @@ def write_checkpoint(state, config, path: str) -> None:
     if state.bank is not None:
         sections["bank_keys"] = _pack_array(np.stack([k.values for k in state.bank.keys]))
         sections["bank_prompts"] = _pack_array(np.stack([p.values for p in state.bank.prompts]))
-    if state.shared_prompt is not None:
-        sections["shared_prompt"] = _pack_array(state.shared_prompt.values)
     tok = io.BytesIO()
     tok.write(struct.pack("<I", len(state.class_tokens)))
     for cid in sorted(state.class_tokens):
@@ -412,17 +410,29 @@ def write_checkpoint(state, config, path: str) -> None:
 
 
 def read_checkpoint(path: str):
-    """Load (LearnerState, TrainConfig); raises before returning partial state."""
-    from .trainer import LearnerState, TrainConfig
+    """Load (LearnerState, TrainConfig); raises DataError before returning partial state."""
+    with open(path, "rb") as f:
+        sections = _parse_sections(f.read(), path)
+    try:
+        return _state_from_sections(sections)
+    except (KeyError, ValueError, TypeError, struct.error) as e:
+        raise DataError(f"{path}: malformed checkpoint: {e!r}") from None
+
+
+def _state_from_sections(sections: dict):
+    from .trainer import LearnerState, TrainConfig, preset
     from .encoders import FrozenEncoderPair
     from .bank import AttributeBank
     from . import autodiff as ad
 
-    with open(path, "rb") as f:
-        blob = f.read()
-    sections = _parse_sections(blob, path)
     meta = json.loads(sections["meta"].decode())
     config = TrainConfig.from_dict(json.loads(sections["config"].decode()))
+    mode = meta["mode"]
+    expected = {"meta", "config", "class_tokens"}
+    if mode != "zero_shot":
+        expected |= {"bank_keys", "bank_prompts"}
+    if set(sections) != expected:
+        raise ValueError(f"sections {sorted(sections)} do not fit mode {mode!r}")
     enc_info = meta["encoder"]
     encoders = FrozenEncoderPair(d=enc_info["d"], image_width=enc_info["image_width"],
                                  seed=enc_info["seed"], max_tokens=enc_info["max_tokens"],
@@ -431,14 +441,14 @@ def read_checkpoint(path: str):
     if "bank_keys" in sections:
         keys, _ = _unpack_array(sections["bank_keys"])
         prompts, _ = _unpack_array(sections["bank_prompts"])
+        n = preset(mode, config).n
+        if keys.shape != (n, encoders.d) or prompts.shape != (n, config.m, encoders.d):
+            raise ValueError(f"bank of shape {keys.shape}/{prompts.shape} does not fit "
+                             f"mode {mode!r} with n={n}, m={config.m}, d={encoders.d}")
         bank = AttributeBank(
-            keys=[ad.parameter(keys[i]) for i in range(keys.shape[0])],
-            prompts=[ad.parameter(prompts[i]) for i in range(prompts.shape[0])],
-            n=keys.shape[0], m=prompts.shape[1], d=keys.shape[1])
-    shared = None
-    if "shared_prompt" in sections:
-        arr, _ = _unpack_array(sections["shared_prompt"])
-        shared = ad.parameter(arr)
+            keys=[ad.parameter(keys[i]) for i in range(n)],
+            prompts=[ad.parameter(prompts[i]) for i in range(n)],
+            n=n, m=config.m, d=encoders.d)
     tokens = {}
     payload = sections["class_tokens"]
     (count,) = struct.unpack_from("<I", payload, 0)
@@ -448,25 +458,7 @@ def read_checkpoint(path: str):
         offset += 4
         arr, offset = _unpack_array(payload, offset)
         tokens[int(cid)] = arr
-    state = LearnerState(mode=meta["mode"], bank=bank, shared_prompt=shared,
-                         encoders=encoders, class_tokens=tokens,
+    state = LearnerState(mode=mode, bank=bank, encoders=encoders, class_tokens=tokens,
                          step_counter=meta["step_counter"], tasks_done=meta["tasks_done"],
                          top_c=config.c)
     return state, config
-
-
-class RecordingList(list):
-    """List wrapper that appends (tag, index) to a shared log on every read.
-
-    Lets tests assert the rehearsal-free property: training never touches
-    samples of a finished task again.
-    """
-
-    def __init__(self, items, tag, log):
-        super().__init__(items)
-        self._tag = tag
-        self._log = log
-
-    def __getitem__(self, index):
-        self._log.append((self._tag, index))
-        return super().__getitem__(index)

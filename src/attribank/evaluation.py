@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .bank import select_top_c, compose_text_input
-from .encoders import TokenSequence
-
-THREADS_ENV = "ATTRIBANK_THREADS"
+from .bank import class_text_embeddings, route
+from .trainer import run_sequence
 
 
 @dataclass
@@ -98,34 +94,11 @@ class CdclReport:
                 "acc_joint": self.acc_joint, "ft": self.ft, "bt": self.bt}
 
 
-def forward_transfer(report: CdclReport) -> float:
-    """Accuracy on the second dataset after cross-dataset training, minus scratch.
-
-    Positive means the first dataset helped the second.
-    """
-    return report.acc_a2b_on_b - report.acc_scratch_b
-
-
-def backward_transfer(report: CdclReport) -> float:
-    """Accuracy on the first dataset after training the second, minus the
-    from-scratch accuracy on the first. Positive means the new dataset
-    improved the old one."""
-    return report.acc_a2b_on_a - report.acc_scratch_a
-
-
-def _eval_workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def evaluate(state, test_set, candidate_classes) -> float:
     """Accuracy percent over test_set with predictions restricted to candidates.
 
-    Per sample: encode the image, select prompts (attriclip), compose the
-    text input per candidate class, embed, and take the class with the
+    Per sample: encode the image, route it through the bank, embed every
+    candidate class under that routing, and take the class with the
     highest cosine similarity. Candidates are sorted internally, so the
     result does not depend on their given order and ties break toward the
     lowest class id. All tensors are constants: nothing lands on the tape.
@@ -141,41 +114,16 @@ def evaluate(state, test_set, candidate_classes) -> float:
             raise KeyError(f"unknown class id {cid}")
 
     enc = state.encoders
-    frozen = state.bank.frozen_view() if state.mode == "attriclip" else None
-    shared_const = (ad.constant(state.shared_prompt.values)
-                    if state.mode == "shared_prompt" else None)
-    cls_seq = {cid: TokenSequence(ad.constant(state.class_tokens[cid].reshape(1, -1)))
-               for cid in candidates}
+    bank = state.bank.frozen_view() if state.bank is not None else None
+    class_seqs = [state.class_token_seq(cid) for cid in candidates]
     cache: dict = {}
-
-    def embedding(sel, cid) -> np.ndarray:
-        key = (sel.index_tuple if sel is not None else None, cid)
-        w = cache.get(key)
-        if w is None:
-            if state.mode == "attriclip":
-                seq = compose_text_input(sel, frozen, cls_seq[cid])
-            elif state.mode == "shared_prompt":
-                seq = TokenSequence(ad.concat([shared_const, cls_seq[cid].tokens]))
-            else:
-                seq = cls_seq[cid]
-            w = enc.encode_text(seq).values
-            cache[key] = w
-        return w
-
-    def classify(sample) -> bool:
+    hits = 0
+    for sample in test_set:
         z = enc.encode_image(sample)
-        sel = (select_top_c(z, frozen, state.top_c)
-               if state.mode == "attriclip" else None)
-        scores = np.array([ad.cosine_value(z, embedding(sel, cid)) for cid in candidates])
-        return candidates[int(np.argmax(scores))] == sample.label
-
-    workers = _eval_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = list(pool.map(classify, test_set))
-    else:
-        hits = [classify(s) for s in test_set]
-    return 100.0 * sum(hits) / len(hits)
+        embs = class_text_embeddings(enc, bank, route(z, bank, state.top_c), class_seqs, cache)
+        scores = np.array([ad.cosine_value(z, w.values) for w in embs])
+        hits += candidates[int(np.argmax(scores))] == sample.label
+    return 100.0 * hits / len(test_set)
 
 
 def run_cdcl(stream_a, stream_b, config, mode: str = "attriclip") -> CdclReport:
@@ -185,8 +133,6 @@ def run_cdcl(stream_a, stream_b, config, mode: str = "attriclip") -> CdclReport:
     joint accuracy presents the union of both label spaces for every test
     sample of both datasets.
     """
-    from .trainer import run_sequence
-
     ids_a = set(stream_a.all_class_ids())
     ids_b = set(stream_b.all_class_ids())
     overlap = ids_a & ids_b

@@ -99,6 +99,14 @@ def _relu(t: ad.Tensor) -> ad.Tensor:
     return ad.scale(ad.add(t, ad.absolute(t)), 0.5)
 
 
+def triplet_negative(z: np.ndarray, sel: Selection, bank: AttributeBank) -> float:
+    """Distance from z to its closest unselected key: the detached triplet negative."""
+    if len(sel.indices) >= bank.n:
+        raise ValueError("triplet variant needs at least one unselected key as negative")
+    selected = set(sel.indices)
+    return min(score(z, bank.keys[i].values) for i in range(bank.n) if i not in selected)
+
+
 def key_matching_loss(z: np.ndarray, sel: Selection, bank: AttributeBank,
                       variant: DistanceVariant,
                       frozen_negative: float | None = None) -> ad.Tensor:
@@ -106,19 +114,14 @@ def key_matching_loss(z: np.ndarray, sel: Selection, bank: AttributeBank,
     the selected keys (z is a constant, negatives are detached).
 
     ``frozen_negative`` pins the triplet negative's distance to a value
-    computed earlier; gradient-verification harnesses use it so central
-    differences measure the same detached branch the optimizer follows.
+    computed earlier (``trainer.forward`` takes it from the batch routing),
+    so central differences measure the same detached branch the optimizer
+    follows.
     """
     zc = ad.constant(np.asarray(z, dtype=np.float64))
     if variant.kind == "triplet":
-        if len(sel.indices) >= bank.n:
-            raise ValueError("triplet variant needs at least one unselected key as negative")
-        if frozen_negative is not None:
-            neg_dist = frozen_negative
-        else:
-            selected = set(sel.indices)
-            neg_dist = min(score(zc.values, bank.keys[i].values)
-                           for i in range(bank.n) if i not in selected)
+        neg_dist = (triplet_negative(zc.values, sel, bank) if frozen_negative is None
+                    else frozen_negative)
     terms = []
     for i in sel.indices:
         cos = ad.cosine_sim(zc, bank.keys[i])
@@ -164,5 +167,6 @@ def breakdown(l_m: ad.Tensor, l_k: ad.Tensor, l_p: ad.Tensor, total: ad.Tensor,
         l_m=float(l_m.values), l_k=float(l_k.values), l_p=float(l_p.values),
         total=float(total.values), lambda_k=lambda_k, lambda_p=lambda_p, tau=tau)
     if not all(np.isfinite(v) for v in (parts.l_m, parts.l_k, parts.l_p, parts.total)):
-        raise ad.NumericError(f"non-finite loss: {parts.as_dict()}")
+        raise ad.NumericError(
+            f"non-finite loss: l_m={parts.l_m:.6g} l_k={parts.l_k:.6g} l_p={parts.l_p:.6g}")
     return parts

@@ -1,10 +1,12 @@
 """Task-sequential training: SGD with cosine-decayed learning rate.
 
-Three learner modes share one loop:
+There is one learner, a frozen encoder pair plus a (key, prompt) bank, and
+the modes are presets of it (``preset``):
 
-  attriclip      trainable (key, prompt) bank, per-image top-C selection
-  shared_prompt  one global prompt shared by all classes, cross-entropy only
-  zero_shot      frozen model, class tokens only, nothing trainable
+  attriclip      n-entry bank, per-image top-C selection, all three loss terms
+  shared_prompt  one-entry bank (n = C = 1, lambda_k = 0): one prompt shared
+                 by every image, cross-entropy only
+  zero_shot      no bank and no steps: class tokens only
 
 Training is rehearsal-free: a task's samples are never read again once the
 task finishes. All shuffling comes from context-keyed streams, so a resumed
@@ -13,21 +15,26 @@ run is bit-identical to an uninterrupted one.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .bank import AttributeBank, init_bank, select_top_c, compose_text_input, KEY_NORM_FLOOR
+from .bank import KEY_NORM_FLOOR, AttributeBank, class_text_embeddings, init_bank, route
 from .encoders import FrozenEncoderPair, TokenSequence, class_token
 from .objective import (DistanceVariant, LossBreakdown, breakdown, classification_loss,
-                        key_matching_loss, prompt_orthogonality_loss, total_loss)
+                        key_matching_loss, prompt_orthogonality_loss, total_loss,
+                        triplet_negative)
 from .util import keyed_rng
 
 _CTX_SHARED_PROMPT, _CTX_SHUFFLE = 41, 42
 
 MODES = ("attriclip", "shared_prompt", "zero_shot")
+
+# Hyperparameters a mode fixes; the rest come from the config.
+_PRESETS = {"shared_prompt": {"n": 1, "c": 1, "lambda_k": 0.0}}
 
 
 class SequenceError(RuntimeError):
@@ -93,6 +100,18 @@ class TrainConfig:
         return cls(**d)
 
 
+def preset(mode: str, config: TrainConfig) -> TrainConfig:
+    """``config`` as the learner runs it in ``mode``.
+
+    The one place a mode changes hyperparameters; returns ``config`` itself
+    when the mode fixes nothing it does not already hold.
+    """
+    fixed = _PRESETS.get(mode, {})
+    if all(getattr(config, k) == v for k, v in fixed.items()):
+        return config
+    return dataclasses.replace(config, **fixed)
+
+
 @dataclass
 class LearnerState:
     """Everything the learner owns: parameters, frozen encoders, class registry."""
@@ -100,7 +119,6 @@ class LearnerState:
     mode: str
     encoders: FrozenEncoderPair
     bank: AttributeBank | None = None
-    shared_prompt: ad.Tensor | None = None
     class_tokens: dict = field(default_factory=dict)
     step_counter: int = 0
     tasks_done: int = 0
@@ -113,15 +131,11 @@ class LearnerState:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "attriclip" and self.selection_counts is None and self.bank is not None:
+        if self.selection_counts is None and self.bank is not None:
             self.selection_counts = np.zeros(self.bank.n, dtype=np.int64)
 
     def trainable_parameters(self) -> list:
-        if self.mode == "attriclip":
-            return self.bank.trainable_parameters()
-        if self.mode == "shared_prompt":
-            return [self.shared_prompt]
-        return []
+        return self.bank.trainable_parameters() if self.bank is not None else []
 
     def register_class(self, class_id: int, vector: np.ndarray | None) -> None:
         if class_id in self.class_tokens:
@@ -145,19 +159,17 @@ class LearnerState:
 
 
 def init_state(mode: str, config: TrainConfig, stream) -> LearnerState:
+    config = preset(mode, config)
     encoders = FrozenEncoderPair(
         d=stream.d, image_width=stream.image_width, seed=config.seed,
         max_tokens=config.c * config.m + 16, backend=stream.backend)
     bank = None
-    shared = None
     if mode == "attriclip":
         bank = init_bank(config.n, config.m, stream.d, config.seed)
     elif mode == "shared_prompt":
-        rows = keyed_rng(config.seed, _CTX_SHARED_PROMPT).standard_normal(
-            (config.m, stream.d)) * 0.02
-        shared = ad.parameter(rows)
-    return LearnerState(mode=mode, encoders=encoders, bank=bank, shared_prompt=shared,
-                        top_c=config.c)
+        bank = init_bank(config.n, config.m, stream.d, config.seed,
+                         prompt_context=_CTX_SHARED_PROMPT)
+    return LearnerState(mode=mode, encoders=encoders, bank=bank, top_c=config.c)
 
 
 def lr_at(step: int, total_steps: int, lr0: float) -> float:
@@ -181,111 +193,96 @@ def _sgd_update(params, lr: float, weight_decay: float) -> None:
         p.values -= lr * g
 
 
-def _diagnostic_dump(parts, batch) -> str:
-    lines = [f"losses: {parts}"]
-    for i, (z, label, _) in enumerate(batch):
-        lines.append(f"  sample {i}: label={label} |z|={float(np.linalg.norm(z)):.3e}")
-    return "\n".join(lines)
+def _diagnostic_dump(batch, encoders) -> str:
+    return "\n".join(
+        f"  sample {i}: class {sample.label} "
+        f"|z|={float(np.linalg.norm(encoders.encode_image(sample))):.3e}"
+        for i, sample in enumerate(batch))
 
 
-def train_step(state: LearnerState, batch, config: TrainConfig,
-               lr: float | None = None) -> LossBreakdown:
-    """One forward/backward/SGD step on the attribute bank; returns pre-step losses."""
-    if state.mode == "shared_prompt":
-        return shared_prompt_baseline_step(state, batch, config, lr)
-    if state.mode != "attriclip":
-        raise ValueError(f"train_step does not apply to mode {state.mode!r}")
+@dataclass
+class Routing:
+    """Per-image routing of one batch: its selection and, for the triplet
+    distance with lambda_k > 0, its detached negative distance (else None)."""
+
+    selections: list
+    negatives: list
+
+
+def forward(state: LearnerState, batch, config: TrainConfig,
+            routing: Routing | None = None):
+    """The learner's forward pass on the tape; returns (L_m, L_k, L_p, routing).
+
+    Without ``routing`` each image is routed by the current keys; passing
+    the routing of an earlier call pins the selections and triplet
+    negatives, so gradient checks stay on one smooth branch. A loss term
+    whose weight is 0 is not built and reads 0.
+    """
     if not batch:
-        raise ValueError("train_step: empty batch")
-    if lr is None:
-        lr = config.lr0
+        raise ValueError("forward: empty batch")
+    config = preset(state.mode, config)
     bank = state.bank
     enc = state.encoders
     candidates = state.seen_classes()
     label_index = {cid: i for i, cid in enumerate(candidates)}
-
-    ad.reset_tape()
-    for p in state.trainable_parameters():
-        p.grad = None
+    for sample in batch:
+        if sample.label not in label_index:
+            raise ValueError(f"sample label {sample.label} not registered")
+    zs = [enc.encode_image(sample) for sample in batch]
+    with_lk = config.lambda_k > 0
+    if routing is None:
+        sels = [route(z, bank, config.c) for z in zs]
+        with_negatives = with_lk and config.distance.kind == "triplet"
+        routing = Routing(sels, [triplet_negative(z, sel, bank) if with_negatives else None
+                                 for z, sel in zip(zs, sels)])
 
     # Text embeddings repeat across images that share a selection; cache them
     # for the duration of this forward pass.
     text_cache: dict = {}
+    class_seqs = [state.class_token_seq(cid) for cid in candidates]
     entries = []
     lk_terms = []
-    for sample in batch:
-        if sample.label not in label_index:
-            raise ValueError(f"sample label {sample.label} not registered")
-        z = enc.encode_image(sample)
-        sel = select_top_c(z, bank, config.c)
-        state.selection_counts[sel.indices] += 1
-        embs = []
-        for cid in candidates:
-            key = (sel.index_tuple, cid)
-            w = text_cache.get(key)
-            if w is None:
-                seq = compose_text_input(sel, bank, state.class_token_seq(cid))
-                w = enc.encode_text(seq)
-                text_cache[key] = w
-            embs.append(w)
+    for sample, z, sel, neg in zip(batch, zs, routing.selections, routing.negatives):
+        embs = class_text_embeddings(enc, bank, sel, class_seqs, text_cache)
         entries.append((z, label_index[sample.label], embs))
-        lk_terms.append(key_matching_loss(z, sel, bank, config.distance))
+        if with_lk:
+            lk_terms.append(key_matching_loss(z, sel, bank, config.distance,
+                                              frozen_negative=neg))
 
     l_m = classification_loss(entries, config.tau)
-    l_k = ad.scale(ad.sum_all(ad.concat(lk_terms)), 1.0 / len(batch))
-    if bank.n >= 2:
-        l_p = prompt_orthogonality_loss(bank, enc)
-    else:
-        l_p = ad.constant(0.0)
+    l_k = (ad.scale(ad.sum_all(ad.concat(lk_terms)), 1.0 / len(batch)) if with_lk
+           else ad.constant(0.0))
+    l_p = prompt_orthogonality_loss(bank, enc) if config.lambda_p > 0 else ad.constant(0.0)
+    return l_m, l_k, l_p, routing
+
+
+def train_step(state: LearnerState, batch, config: TrainConfig,
+               lr: float | None = None) -> LossBreakdown:
+    """One forward/backward/SGD step on the bank; returns pre-step losses."""
+    if state.bank is None:
+        raise ValueError(f"train_step: mode {state.mode!r} has no bank to train")
+    config = preset(state.mode, config)
+    if lr is None:
+        lr = config.lr0
+    params = state.trainable_parameters()
+
+    ad.reset_tape()
+    for p in params:
+        p.grad = None
+    l_m, l_k, l_p, routing = forward(state, batch, config)
+    for sel in routing.selections:
+        state.selection_counts[sel.indices] += 1
     total = total_loss(l_m, l_k, l_p, config.lambda_k, config.lambda_p)
     try:
         parts = breakdown(l_m, l_k, l_p, total, config.lambda_k, config.lambda_p, config.tau)
     except ad.NumericError as e:
-        raise ad.NumericError(f"{e}\n{_diagnostic_dump(e.args[0], entries)}") from None
+        raise ad.NumericError(f"{e}\n{_diagnostic_dump(batch, state.encoders)}") from None
 
     ad.backward(total)
-    _sgd_update(state.trainable_parameters(), lr, config.weight_decay)
+    _sgd_update(params, lr, config.weight_decay)
     ad.reset_tape()
-    if bank.min_key_norm() < KEY_NORM_FLOOR:
+    if state.bank.min_key_norm() < KEY_NORM_FLOOR:
         raise ad.NumericError("key norm collapsed below floor after update")
-    state.step_counter += 1
-    return parts
-
-
-def shared_prompt_baseline_step(state: LearnerState, batch, config: TrainConfig,
-                                lr: float | None = None) -> LossBreakdown:
-    """One cross-entropy step on the single global prompt (no bank terms)."""
-    if state.mode != "shared_prompt":
-        raise ValueError("shared_prompt_baseline_step requires mode shared_prompt")
-    if not batch:
-        raise ValueError("shared_prompt_baseline_step: empty batch")
-    if lr is None:
-        lr = config.lr0
-    enc = state.encoders
-    candidates = state.seen_classes()
-    label_index = {cid: i for i, cid in enumerate(candidates)}
-
-    ad.reset_tape()
-    state.shared_prompt.grad = None
-    # One prompt for every image: embeddings depend on the class only.
-    embs = {}
-    for cid in candidates:
-        seq = TokenSequence(ad.concat([state.shared_prompt,
-                                       state.class_token_seq(cid).tokens]))
-        embs[cid] = enc.encode_text(seq)
-    entries = []
-    for sample in batch:
-        if sample.label not in label_index:
-            raise ValueError(f"sample label {sample.label} not registered")
-        z = enc.encode_image(sample)
-        entries.append((z, label_index[sample.label], [embs[c] for c in candidates]))
-    l_m = classification_loss(entries, config.tau)
-    zero = ad.constant(0.0)
-    total = total_loss(l_m, zero, zero, config.lambda_k, config.lambda_p)
-    parts = breakdown(l_m, zero, zero, total, config.lambda_k, config.lambda_p, config.tau)
-    ad.backward(total)
-    _sgd_update([state.shared_prompt], lr, config.weight_decay)
-    ad.reset_tape()
     state.step_counter += 1
     return parts
 
@@ -303,11 +300,11 @@ def train_task(state: LearnerState, task, config: TrainConfig,
         vector = class_tokens.get(cid) if class_tokens else None
         state.register_class(cid, vector)
 
-    if state.mode == "attriclip":
-        state.selection_counts = np.zeros(state.bank.n, dtype=np.int64)
-    if state.mode == "zero_shot":
+    if state.bank is None:
         state.tasks_done += 1
         return {"task_id": task.task_id, "steps": 0, "epoch_losses": [], "lr_trace": []}
+    state.selection_counts = np.zeros(state.bank.n, dtype=np.int64)
+    config = preset(state.mode, config)
 
     n_samples = len(task.train)
     steps_per_epoch = math.ceil(n_samples / config.batch_size)
@@ -336,11 +333,8 @@ def train_task(state: LearnerState, task, config: TrainConfig,
         epoch_losses.append({k: v / steps_per_epoch for k, v in
                              zip(("l_m", "l_k", "l_p", "total"), sums)})
     state.tasks_done += 1
-    report = {"task_id": task.task_id, "steps": step_in_task,
-              "epoch_losses": epoch_losses, "lr_trace": lr_trace}
-    if state.mode == "attriclip":
-        report["selection_histogram"] = state.selection_counts.tolist()
-    return report
+    return {"task_id": task.task_id, "steps": step_in_task, "epoch_losses": epoch_losses,
+            "lr_trace": lr_trace, "selection_histogram": state.selection_counts.tolist()}
 
 
 def run_sequence(stream, config: TrainConfig, eval_hooks=(), state: LearnerState | None = None,

@@ -14,12 +14,12 @@ import pytest
 from attribank import autodiff as ad
 from attribank import cli
 from attribank import data_io as dio
-from attribank.bank import compose_text_input, init_bank, select_top_c
+from attribank.bank import init_bank, select_top_c
 from attribank.encoders import FrozenEncoderPair, TokenSequence
 from attribank.evaluation import AccuracyMatrix, average_accuracy, run_cdcl
 from attribank.objective import (DistanceVariant, classification_loss, key_matching_loss,
                                  predict_probabilities, prompt_orthogonality_loss, total_loss)
-from attribank.trainer import TrainConfig, init_state, run_sequence, train_step
+from attribank.trainer import TrainConfig, forward, init_state, run_sequence, train_step
 
 from conftest import rng
 
@@ -122,24 +122,6 @@ def test_criterion_2_oracle_equivalence():
              f"{mismatches} selection mismatches, worst scalar rel error {worst:.2e}")
 
 
-def _loss_terms(state, cfg, batch):
-    zs = [state.encoders.encode_image(s) for s in batch]
-    sels = [select_top_c(z, state.bank, cfg.c) for z in zs]
-    candidates = state.seen_classes()
-    entries = []
-    lk_terms = []
-    for s, z, sel in zip(batch, zs, sels):
-        embs = [state.encoders.encode_text(
-            compose_text_input(sel, state.bank, state.class_token_seq(cid)))
-            for cid in candidates]
-        entries.append((z, candidates.index(s.label), embs))
-        lk_terms.append(key_matching_loss(z, sel, state.bank, cfg.distance))
-    l_m = classification_loss(entries, cfg.tau)
-    l_k = ad.scale(ad.sum_all(ad.concat(lk_terms)), 1.0 / len(batch))
-    l_p = prompt_orthogonality_loss(state.bank, state.encoders)
-    return l_m, l_k, l_p, sels
-
-
 def test_criterion_3_gradient_routing():
     worst_key = worst_prompt = 0.0
     unselected_ok = True
@@ -159,14 +141,14 @@ def test_criterion_3_gradient_routing():
         batch = stream.tasks[0].train[:2]
 
         ad.reset_tape()
-        l_m, l_k, l_p, sels = _loss_terms(state, cfg, batch)
+        l_m, l_k, l_p, routing = forward(state, batch, cfg)
         ad.backward(total_loss(l_m, l_k, l_p, lam_k, lam_p))
         key_grads = [k.grad.copy() if k.grad is not None else None for k in state.bank.keys]
         prompt_grads = [p.grad.copy() if p.grad is not None else None
                         for p in state.bank.prompts]
 
         ad.reset_tape()
-        _, l_k2, _, _ = _loss_terms(state, cfg, batch)
+        _, l_k2, _, _ = forward(state, batch, cfg, routing)
         ad.backward(ad.scale(l_k2, lam_k))
         for k, ref in zip(state.bank.keys, key_grads):
             a = ref if ref is not None else np.zeros_like(k.values)
@@ -174,7 +156,7 @@ def test_criterion_3_gradient_routing():
             worst_key = max(worst_key, float(np.abs(a - b).max()))
 
         ad.reset_tape()
-        l_m3, _, l_p3, _ = _loss_terms(state, cfg, batch)
+        l_m3, _, l_p3, _ = forward(state, batch, cfg, routing)
         ad.backward(ad.add(l_m3, ad.scale(l_p3, lam_p)))
         for p, ref in zip(state.bank.prompts, prompt_grads):
             a = ref if ref is not None else np.zeros_like(p.values)
@@ -183,7 +165,7 @@ def test_criterion_3_gradient_routing():
 
         if lam_p == 0.0:
             selected = set()
-            for sel in sels:
+            for sel in routing.selections:
                 selected.update(sel.indices)
             for i, ref in enumerate(prompt_grads):
                 if i not in selected:

@@ -197,16 +197,6 @@ def test_constant_inputs_never_accumulate_gradient():
     assert v.grad is not None
 
 
-def test_forward_primitive_dispatch():
-    v = ad.constant([3.0, 4.0])
-    out = ad.forward_primitive("l2norm", [v])
-    assert abs(out.item() - 5.0) < 1e-9
-    out = ad.forward_primitive("concat", [ad.constant([1.0]), ad.constant([2.0])])
-    np.testing.assert_array_equal(out.values, [1.0, 2.0])
-    with pytest.raises(ad.ShapeError, match="unknown primitive"):
-        ad.forward_primitive("conv2d", [v])
-
-
 def test_concat_promotes_scalars():
     parts = [ad.cosine_sim(ad.constant([1.0, 0.0]), ad.constant([1.0, 0.0])),
              ad.constant(2.5)]

@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from attribank import cli
+from attribank import data_io as dio
 
 
 def write_config(tmp_path, **overrides):
@@ -90,6 +92,37 @@ def test_train_resume_matches_straight_run(tmp_path):
     (partial / "accuracy_matrix.json").write_text(json.dumps(matrix))
     assert cli.main(["train", "--config", cfg, "--out", str(partial), "--resume"]) == 0
     assert (full / "metrics.json").read_bytes() == (partial / "metrics.json").read_bytes()
+
+
+def test_train_resume_picks_highest_task_index(tmp_path):
+    # after_task_99 sorts after after_task_100 by name; the resume must not read it.
+    cfg = write_config(tmp_path)
+    full, partial = tmp_path / "full", tmp_path / "partial"
+    assert cli.main(["train", "--config", cfg, "--out", str(full)]) == 0
+    assert cli.main(["train", "--config", cfg, "--out", str(partial)]) == 0
+    ckpts = partial / "checkpoints"
+    os.rename(ckpts / "after_task_02.ckpt", ckpts / "after_task_100.ckpt")
+    (ckpts / "after_task_99.ckpt").write_bytes(b"not a checkpoint")
+    assert cli.main(["train", "--config", cfg, "--out", str(partial), "--resume"]) == 0
+    assert (full / "metrics.json").read_bytes() == (partial / "metrics.json").read_bytes()
+
+
+def test_numeric_failure_inside_a_task_exits_3(tmp_path, capsys):
+    stream = dio.generate_synthetic(dio.SyntheticSpec(
+        num_latent_attributes=6, attributes_per_class=2, num_tasks=2, classes_per_task=2,
+        samples_per_class=4, feature_dim=8, noise_sigma=0.05, seed=2))
+    paths = {}
+    for split in ("train", "test"):
+        samples = [s for task in stream.tasks for s in getattr(task, split)]
+        if split == "train":
+            samples[5].vector = np.full_like(samples[5].vector, np.nan)
+        paths[split] = str(tmp_path / f"{split}.atrb")
+        dio.write_embedding_file(paths[split], samples, stream.class_tokens, 8)
+    cfg = write_config(tmp_path, data={"kind": "file", "train_path": paths["train"],
+                                       "test_path": paths["test"]})
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "numeric failure: task 0 failed" in capsys.readouterr().err
 
 
 def test_mode_flag_overrides_config(tmp_path):

@@ -7,8 +7,7 @@ from attribank import autodiff as ad
 from attribank import data_io as dio
 from attribank.bank import compose_text_input, select_top_c
 from attribank.encoders import ImageSample, TokenSequence
-from attribank.evaluation import (AccuracyMatrix, CdclReport, average_accuracy,
-                                  backward_transfer, evaluate, forward_transfer, run_cdcl)
+from attribank.evaluation import AccuracyMatrix, CdclReport, average_accuracy, evaluate, run_cdcl
 from attribank.trainer import TrainConfig, init_state, run_sequence
 
 from conftest import rng
@@ -72,24 +71,24 @@ def test_transfer_scores_on_reference_rows():
     # Transcribed reference rows exercise the FT/BT arithmetic.
     main = CdclReport(acc_scratch_b=81.4, acc_a2b_on_b=82.3,
                       acc_scratch_a=83.3, acc_a2b_on_a=90.3, acc_joint=78.3)
-    assert abs(forward_transfer(main) - 0.9) < 0.05
-    assert abs(backward_transfer(main) - 7.0) < 0.05
+    assert abs(main.ft - 0.9) < 0.05
+    assert abs(main.bt - 7.0) < 0.05
 
     icarl = CdclReport(acc_scratch_b=49.5, acc_a2b_on_b=49.7,
                        acc_scratch_a=59.5, acc_a2b_on_a=34.5, acc_joint=30.7)
-    assert abs(forward_transfer(icarl) - 0.2) < 0.05
-    assert abs(backward_transfer(icarl) - (-25.0)) < 0.05
+    assert abs(icarl.ft - 0.2) < 0.05
+    assert abs(icarl.bt - (-25.0)) < 0.05
 
     coop = CdclReport(acc_scratch_b=67.6, acc_a2b_on_b=59.0,
                       acc_scratch_a=79.3, acc_a2b_on_a=75.9, acc_joint=55.4)
-    assert abs(backward_transfer(coop) - (-3.4)) < 0.05
+    assert abs(coop.bt - (-3.4)) < 0.05
 
 
 def test_transfer_scores_zero_for_equal_operands():
     r = CdclReport(acc_scratch_b=50.0, acc_a2b_on_b=50.0,
                    acc_scratch_a=60.0, acc_a2b_on_a=60.0, acc_joint=55.0)
-    assert forward_transfer(r) == 0.0
-    assert backward_transfer(r) == 0.0
+    assert r.ft == 0.0
+    assert r.bt == 0.0
 
 
 def test_report_invariants_hold():
@@ -186,18 +185,6 @@ def test_evaluate_unknown_class_rejected():
     state = prepared_state(stream, tiny_config())
     with pytest.raises(KeyError):
         evaluate(state, stream.all_test_samples(), [999])
-
-
-def test_evaluate_respects_thread_env(monkeypatch):
-    stream = tiny_stream()
-    state = prepared_state(stream, tiny_config())
-    samples = stream.all_test_samples()
-    cands = state.seen_classes()
-    serial = evaluate(state, samples, cands)
-    monkeypatch.setenv("ATTRIBANK_THREADS", "3")
-    assert evaluate(state, samples, cands) == serial
-    monkeypatch.setenv("ATTRIBANK_THREADS", "junk")
-    assert evaluate(state, samples, cands) == serial
 
 
 def test_zero_shot_matrix_has_no_drift():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,9 +7,12 @@ import pytest
 from attribank import autodiff as ad
 from attribank import data_io as dio
 from attribank.bank import select_top_c
+from attribank.encoders import ImageSample
 from attribank.objective import DistanceVariant
-from attribank.trainer import (SequenceError, TrainConfig, init_state, lr_at,
+from attribank.trainer import (SequenceError, TrainConfig, forward, init_state, lr_at,
                                run_sequence, train_step, train_task)
+
+from conftest import RecordingList
 
 
 def tiny_stream(seed=1, tasks=2, classes=2, samples=6, dim=8):
@@ -242,7 +246,7 @@ def test_run_sequence_is_replay_free():
     stream = tiny_stream(tasks=3)
     log = []
     for task in stream.tasks:
-        task.train = dio.RecordingList(task.train, task.task_id, log)
+        task.train = RecordingList(task.train, task.task_id, log)
     boundaries = []
 
     def hook(state, t, matrix, report):
@@ -259,10 +263,27 @@ def test_shared_prompt_single_class_takes_zero_step():
     stream = tiny_stream(tasks=1, classes=1)
     cfg = tiny_config()
     state = prepared_state(stream, cfg, mode="shared_prompt")
-    before = state.shared_prompt.values.copy()
+    before = state.bank.prompts[0].values.copy()
     parts = train_step(state, stream.tasks[0].train[:3], cfg)
     assert parts.l_m == 0.0
-    np.testing.assert_array_equal(state.shared_prompt.values, before)
+    np.testing.assert_array_equal(state.bank.prompts[0].values, before)
+
+
+def test_non_finite_loss_names_losses_once_and_samples_by_class():
+    # The shared preset routes without scoring, so a NaN feature reaches the loss.
+    stream = tiny_stream(tasks=1)
+    cfg = tiny_config()
+    state = prepared_state(stream, cfg, mode="shared_prompt")
+    batch = stream.tasks[0].train[:3]
+    batch[1] = ImageSample(vector=np.full_like(batch[1].vector, np.nan),
+                           label=batch[1].label, task_id=0)
+    with pytest.raises(ad.NumericError) as exc_info:
+        train_step(state, batch, cfg)
+    lines = str(exc_info.value).splitlines()
+    assert lines[0] == "non-finite loss: l_m=nan l_k=0 l_p=0"
+    assert lines[1:] == [f"  sample {i}: class {s.label} |z|="
+                         f"{float(np.linalg.norm(state.encoders.encode_image(s))):.3e}"
+                         for i, s in enumerate(batch)]
 
 
 def test_shared_prompt_gradient_matches_finite_differences():
@@ -270,21 +291,8 @@ def test_shared_prompt_gradient_matches_finite_differences():
     cfg = tiny_config(n=2, m=2, c=1, tau=0.3)
     state = prepared_state(stream, cfg, mode="shared_prompt")
     batch = stream.tasks[0].train[:2]
-    zs = [state.encoders.encode_image(s) for s in batch]
-    candidates = state.seen_classes()
-
-    def f(prompt):
-        from attribank.encoders import TokenSequence
-        from attribank.objective import classification_loss
-        embs = {}
-        for cid in candidates:
-            seq = TokenSequence(ad.concat([prompt, state.class_token_seq(cid).tokens]))
-            embs[cid] = state.encoders.encode_text(seq)
-        entries = [(z, candidates.index(s.label), [embs[c] for c in candidates])
-                   for z, s in zip(zs, batch)]
-        return classification_loss(entries, cfg.tau)
-
-    err = ad.finite_difference_check(f, state.shared_prompt, h=1e-5)
+    err = ad.finite_difference_check(lambda _: forward(state, batch, cfg)[0],
+                                     state.bank.prompts[0], h=1e-5)
     assert err <= 1e-4
 
 
@@ -330,10 +338,11 @@ def test_zero_shot_mode_has_no_trainable_parameters():
         train_step(state, stream.tasks[0].train[:2], cfg)
 
 
-def test_resume_reproduces_straight_through_run(tmp_path):
+@pytest.mark.parametrize("mode", ["attriclip", "shared_prompt"])
+def test_resume_reproduces_straight_through_run(tmp_path, mode):
     stream = tiny_stream(tasks=3)
     cfg = tiny_config()
-    straight, _ = run_sequence(stream, cfg, mode="attriclip")
+    straight, _ = run_sequence(stream, cfg, mode=mode)
 
     ckpt = str(tmp_path / "mid.ckpt")
     saved = {}
@@ -343,9 +352,10 @@ def test_resume_reproduces_straight_through_run(tmp_path):
             dio.write_checkpoint(state, cfg, ckpt)
             saved["rows"] = matrix.a.copy()
 
-    run_sequence(stream, cfg, eval_hooks=[hook], mode="attriclip")
+    run_sequence(stream, cfg, eval_hooks=[hook], mode=mode)
 
     state, cfg_loaded = dio.read_checkpoint(ckpt)
+    assert state.mode == mode
     from attribank.evaluation import AccuracyMatrix
     matrix = AccuracyMatrix.empty([f"task{t.task_id}" for t in stream.tasks])
     matrix.a[:1] = saved["rows"][:1]
@@ -382,10 +392,11 @@ def test_checkpoint_round_trip_other_modes(tmp_path, mode):
     loaded, cfg2 = dio.read_checkpoint(path)
     assert (loaded.mode, cfg2) == (mode, cfg)
     if mode == "shared_prompt":
-        np.testing.assert_array_equal(loaded.shared_prompt.values,
-                                      state.shared_prompt.values)
+        assert loaded.bank.n == 1
+        np.testing.assert_array_equal(loaded.bank.prompts[0].values,
+                                      state.bank.prompts[0].values)
     else:
-        assert loaded.bank is None and loaded.shared_prompt is None
+        assert loaded.bank is None
 
 
 def test_checkpoint_corruption_detected(tmp_path):
@@ -399,3 +410,45 @@ def test_checkpoint_corruption_detected(tmp_path):
     open(path, "wb").write(bytes(blob))
     with pytest.raises(dio.ChecksumError):
         dio.read_checkpoint(path)
+
+
+def _checkpoint_sections(tmp_path, mode):
+    stream = tiny_stream(tasks=1)
+    cfg = tiny_config()
+    state = init_state(mode, cfg, stream)
+    path = str(tmp_path / "source.ckpt")
+    dio.write_checkpoint(state, cfg, path)
+    with open(path, "rb") as f:
+        return dio._parse_sections(f.read(), path)
+
+
+@pytest.mark.parametrize("drop", ["meta", "config", "class_tokens", "bank_prompts"])
+def test_checkpoint_missing_section_is_data_error(tmp_path, drop):
+    sections = _checkpoint_sections(tmp_path, "attriclip")
+    del sections[drop]
+    path = tmp_path / "broken.ckpt"
+    path.write_bytes(dio._sections_blob(sections))
+    with pytest.raises(dio.DataError):
+        dio.read_checkpoint(str(path))
+
+
+def test_checkpoint_sections_must_fit_mode(tmp_path):
+    # The shared-prompt layout before the baseline became a one-entry bank:
+    # its prompt in a section of its own, no bank sections.
+    sections = _checkpoint_sections(tmp_path, "shared_prompt")
+    sections["shared_prompt"] = sections.pop("bank_prompts")
+    del sections["bank_keys"]
+    old = tmp_path / "old_shared.ckpt"
+    old.write_bytes(dio._sections_blob(sections))
+    with pytest.raises(dio.DataError, match="do not fit"):
+        dio.read_checkpoint(str(old))
+
+    # A zero-shot checkpoint that carries a bank.
+    sections = _checkpoint_sections(tmp_path, "attriclip")
+    meta = json.loads(sections["meta"])
+    meta["mode"] = "zero_shot"
+    sections["meta"] = json.dumps(meta).encode()
+    bank_zs = tmp_path / "bank_zero_shot.ckpt"
+    bank_zs.write_bytes(dio._sections_blob(sections))
+    with pytest.raises(dio.DataError, match="do not fit"):
+        dio.read_checkpoint(str(bank_zs))
