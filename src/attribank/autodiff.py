@@ -6,7 +6,7 @@ gradients into the ``grad`` buffers of every tensor that requires them.
 Everything is double precision: the package's acceptance rests on tight
 gradient checks, not throughput.
 
-Supported primitives: matmul, add, mul, scale, concat, transpose, l2norm,
+Supported primitives: matmul, add, mul, scale, concat, take, transpose,
 cosine_sim, softmax_logits, neg_log_prob, abs, sum, mean. No broadcasting
 beyond scalar-tensor; shapes are checked explicitly per primitive.
 
@@ -79,36 +79,25 @@ class TapeNode:
         self.grad_fn = grad_fn
 
 
-class ComputationTape:
-    """Append-only record of primitive applications, in execution order.
-
-    Because every node is appended after its parents, the list is already
-    topologically sorted; backward visits each node exactly once in reverse.
-    """
-
-    def __init__(self):
-        self.nodes: list[TapeNode] = []
-
-    def __len__(self) -> int:
-        return len(self.nodes)
+# Append-only record of primitive applications, in execution order. Every
+# node is appended after its parents, so the list is already topologically
+# sorted; backward visits each node exactly once in reverse.
+_tape: list[TapeNode] = []
 
 
-_tape = ComputationTape()
-
-
-def active_tape() -> ComputationTape:
+def active_tape() -> list:
     return _tape
 
 
 def reset_tape() -> None:
     global _tape
-    _tape = ComputationTape()
+    _tape = []
 
 
 def _record(op: str, inputs: tuple, output: Tensor, grad_fn) -> Tensor:
     if any(t.requires_grad for t in inputs):
         output.requires_grad = True
-        _tape.nodes.append(TapeNode(op, inputs, output, grad_fn))
+        _tape.append(TapeNode(op, inputs, output, grad_fn))
     return output
 
 
@@ -240,6 +229,23 @@ def concat(tensors) -> Tensor:
     return _record("concat", tuple(tensors), out, grad_fn)
 
 
+def take(a: Tensor, i: int) -> Tensor:
+    """Row ``i`` of ``a`` along axis 0; its gradient goes only into that row."""
+    a = _as_tensor(a)
+    i = int(i)
+    if a.values.ndim < 1 or not 0 <= i < a.shape[0]:
+        raise IndexError(f"take: row {i} out of range for shape {a.shape}")
+    out = Tensor(a.values[i])
+
+    def grad_fn(g):
+        # Accumulate straight into the row, so no zero array of a's full
+        # shape is built per read.
+        a.grad[i] += g
+        return (None,)
+
+    return _record("take", (a,), out, grad_fn)
+
+
 def transpose(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     if a.values.ndim != 2:
@@ -250,20 +256,6 @@ def transpose(a: Tensor) -> Tensor:
         return (g.T,)
 
     return _record("transpose", (a,), out, grad_fn)
-
-
-def l2norm(a: Tensor) -> Tensor:
-    """Euclidean norm of all elements: sqrt(sum(a^2) + eps), a scalar."""
-    a = _as_tensor(a)
-    av = a.values.reshape(-1)
-    n = np.sqrt(np.dot(av, av) + NORM_EPS)
-    out = Tensor(n)
-    shape = a.shape
-
-    def grad_fn(g):
-        return ((float(g) / n) * av.reshape(shape),)
-
-    return _record("l2norm", (a,), out, grad_fn)
 
 
 def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
@@ -379,7 +371,7 @@ def backward(loss: Tensor) -> None:
     """
     if loss.shape != ():
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    nodes = _tape.nodes
+    nodes = _tape
     seen: set[int] = set()
     for node in nodes:
         for t in node.inputs + (node.output,):
@@ -397,18 +389,15 @@ def backward(loss: Tensor) -> None:
                 t.grad += g
 
 
-def finite_difference_check(f, at, h: float = 1e-5) -> float:
+def finite_difference_check(f, at: Tensor, h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``at`` is one tensor or a list of them; ``f(at)`` must return a scalar
-    Tensor deterministically. Returns the max over every coordinate of every
-    tensor of |analytic - numeric| / max(1, |numeric|).
+    ``f(at)`` must return a scalar Tensor deterministically. Returns the max
+    over every coordinate of |analytic - numeric| / max(1, |numeric|).
     """
     if h <= 0:
         raise ValueError("finite_difference_check: h must be positive")
-    tensors = at if isinstance(at, (list, tuple)) else [at]
-    for t in tensors:
-        t.grad = None
+    at.grad = None
     reset_tape()
     out = f(at)
     if out.shape != ():
@@ -416,26 +405,22 @@ def finite_difference_check(f, at, h: float = 1e-5) -> float:
     if not np.isfinite(out.values):
         raise NumericError("finite_difference_check: f produced a non-finite value")
     backward(out)
-    analytic = [t.grad.reshape(-1).copy() if t.grad is not None else np.zeros(t.size)
-                for t in tensors]
+    analytic = at.grad.reshape(-1).copy() if at.grad is not None else np.zeros(at.size)
 
-    worst = 0.0
-    for t, grad in zip(tensors, analytic):
-        flat = t.values.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            reset_tape()
-            fp = float(f(at).values)
-            flat[i] = orig - h
-            reset_tape()
-            fm = float(f(at).values)
-            flat[i] = orig
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise NumericError(f"finite_difference_check: non-finite f at coordinate {i}")
-            numeric[i] = (fp - fm) / (2.0 * h)
-        rel = np.abs(grad - numeric) / np.maximum(1.0, np.abs(numeric))
-        worst = max(worst, float(rel.max()) if rel.size else 0.0)
+    flat = at.values.reshape(-1)
+    numeric = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        reset_tape()
+        fp = float(f(at).values)
+        flat[i] = orig - h
+        reset_tape()
+        fm = float(f(at).values)
+        flat[i] = orig
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NumericError(f"finite_difference_check: non-finite f at coordinate {i}")
+        numeric[i] = (fp - fm) / (2.0 * h)
+    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
     reset_tape()
-    return worst
+    return float(rel.max()) if rel.size else 0.0

@@ -2,9 +2,12 @@
 
 Keys live in the image-embedding space and are matched against image
 embeddings by cosine distance; each key owns a prompt of M learnable tokens.
-Selection is a hard top-C over distances and happens outside the gradient
-tape: key gradients arrive only through the key-matching loss, prompt
-gradients only through the losses that consume the composed text input.
+The bank is two parameters, an (n, d) key matrix and an (n, m, d) prompt
+tensor; the losses read entry i with ``autodiff.take``, so gradient reaches
+only the rows they read. Selection is a hard top-C over distances and
+happens outside the gradient tape: key gradients arrive only through the
+key-matching loss, prompt gradients only through the losses that consume the
+composed text input.
 """
 
 from __future__ import annotations
@@ -27,34 +30,27 @@ PROMPT_INIT_STD = 0.02
 
 @dataclass
 class AttributeBank:
-    """n (key, prompt) pairs; keys are (d,) tensors, prompts are (m, d) tensors.
+    """n (key, prompt) pairs: ``keys`` is an (n, d) tensor, ``prompts`` (n, m, d).
 
-    Keys and prompts are stored row-per-tensor so that a training step only
-    ever touches the selected entries; unselected parameters stay bit-identical.
+    Row i of both is entry i. Sizes come from the shapes.
     """
 
-    keys: list
-    prompts: list
-    n: int
-    m: int
-    d: int
+    keys: ad.Tensor
+    prompts: ad.Tensor
 
-    def key_matrix(self) -> np.ndarray:
-        return np.stack([k.values for k in self.keys])
+    @property
+    def n(self) -> int:
+        return self.keys.shape[0]
 
     def trainable_parameters(self) -> list:
-        return [*self.keys, *self.prompts]
+        return [self.keys, self.prompts]
 
     def frozen_view(self) -> "AttributeBank":
         """Read-only snapshot sharing the same value buffers (for evaluation)."""
-        return AttributeBank(
-            keys=[ad.constant(k.values) for k in self.keys],
-            prompts=[ad.constant(p.values) for p in self.prompts],
-            n=self.n, m=self.m, d=self.d,
-        )
+        return AttributeBank(ad.constant(self.keys.values), ad.constant(self.prompts.values))
 
     def min_key_norm(self) -> float:
-        return min(float(np.linalg.norm(k.values)) for k in self.keys)
+        return float(np.linalg.norm(self.keys.values, axis=1).min())
 
 
 @dataclass
@@ -83,9 +79,7 @@ def init_bank(n: int, m: int, d: int, seed: int,
         raise ValueError(f"bank dimensions must be positive, got n={n} m={m} d={d}")
     key_rows = keyed_rng(seed, _CTX_KEYS).standard_normal((n, d)) / np.sqrt(d)
     prompt_rows = keyed_rng(seed, prompt_context).standard_normal((n, m, d)) * PROMPT_INIT_STD
-    keys = [ad.parameter(key_rows[i]) for i in range(n)]
-    prompts = [ad.parameter(prompt_rows[i]) for i in range(n)]
-    bank = AttributeBank(keys=keys, prompts=prompts, n=n, m=m, d=d)
+    bank = AttributeBank(ad.parameter(key_rows), ad.parameter(prompt_rows))
     if bank.min_key_norm() < KEY_NORM_FLOOR:
         raise ad.NumericError("degenerate key norm at init")
     return bank
@@ -108,7 +102,7 @@ def select_top_c(z: np.ndarray, bank: AttributeBank, c: int) -> Selection:
     """
     if not 1 <= c <= bank.n:
         raise ValueError(f"select_top_c: c={c} out of range for bank of {bank.n}")
-    distances = np.array([score(z, k.values) for k in bank.keys])
+    distances = np.array([score(z, k) for k in bank.keys.values])
     order = np.argsort(distances, kind="stable")[:c]
     return Selection(indices=[int(i) for i in order],
                      distances=[float(distances[i]) for i in order])
@@ -137,10 +131,11 @@ def compose_text_input(sel: Selection, bank: AttributeBank,
     for i in sel.indices:
         if not 0 <= i < bank.n:
             raise ValueError(f"selection index {i} outside bank of {bank.n}")
-    if class_token.dim != bank.d:
+    d = bank.prompts.shape[2]
+    if class_token.dim != d:
         raise ad.ShapeError(
-            f"compose_text_input: class token dim {class_token.dim} != bank dim {bank.d}")
-    parts = [bank.prompts[i] for i in sel.indices]
+            f"compose_text_input: class token dim {class_token.dim} != bank dim {d}")
+    parts = [ad.take(bank.prompts, i) for i in sel.indices]
     parts.append(class_token.tokens)
     return TokenSequence(ad.concat(parts))
 

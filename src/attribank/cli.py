@@ -91,6 +91,8 @@ def _build_stream(data_cfg: dict):
         if not os.path.exists(train_path):
             raise dio.DataError(f"embedding file not found: {train_path}")
         train, tokens, d = dio.read_embedding_file(train_path)
+        if not train:
+            raise dio.DataError(f"{train_path}: no training records")
         test_path = data_cfg.get("test_path")
         if test_path:
             if not os.path.exists(test_path):
@@ -152,6 +154,7 @@ def cmd_train(args) -> int:
     os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
     os.makedirs(os.path.join(out, "task_reports"), exist_ok=True)
 
+    cfg = preset(mode, cfg)
     state = None
     matrix = None
     start_task = 0
@@ -159,17 +162,24 @@ def cmd_train(args) -> int:
         ckpts = {int(m.group(1)): m.group(0) for m in
                  map(_CKPT_NAME.fullmatch, os.listdir(os.path.join(out, "checkpoints"))) if m}
         if ckpts:
-            state, cfg = dio.read_checkpoint(os.path.join(out, "checkpoints", ckpts[max(ckpts)]))
+            name = ckpts[max(ckpts)]
+            state, ckpt_cfg = dio.read_checkpoint(os.path.join(out, "checkpoints", name))
+            if state.mode != mode:
+                raise ConfigError(f"--resume: {name} was written in mode {state.mode!r}, "
+                                  f"not {mode!r}")
+            if ckpt_cfg != cfg:
+                raise ConfigError(f"--resume: {name} was written with config "
+                                  f"{ckpt_cfg.as_dict()}, not {cfg.as_dict()}")
             matrix = AccuracyMatrix.from_dict(
                 _load_json(os.path.join(out, "accuracy_matrix.json")))
             start_task = state.tasks_done
-            mode = state.mode
-    cfg = preset(mode, cfg)
 
+    # The checkpoint is written last: it marks the task done only once the
+    # task's report and matrix row are on disk.
     def hook(st, t, m, report):
-        dio.write_checkpoint(st, cfg, os.path.join(out, "checkpoints", f"after_task_{t:02d}.ckpt"))
         dump_json(report, os.path.join(out, "task_reports", f"task_{t:02d}.json"))
         dump_json(m.to_dict(), os.path.join(out, "accuracy_matrix.json"))
+        dio.write_checkpoint(st, cfg, os.path.join(out, "checkpoints", f"after_task_{t:02d}.ckpt"))
 
     matrix, state = run_sequence(stream, cfg, eval_hooks=[hook], state=state,
                                  matrix=matrix, start_task=start_task, mode=mode)

@@ -122,18 +122,6 @@ class SyntheticSpec:
         if self.noise_sigma < 0:
             raise DataError("noise_sigma must be non-negative")
 
-    def as_dict(self) -> dict:
-        return {
-            "num_latent_attributes": self.num_latent_attributes,
-            "attributes_per_class": self.attributes_per_class,
-            "num_tasks": self.num_tasks,
-            "classes_per_task": self.classes_per_task,
-            "samples_per_class": self.samples_per_class,
-            "feature_dim": self.feature_dim,
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-        }
-
 
 def _draw_spread_unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """Unit vectors with pairwise cosine below MAX_ATTRIBUTE_COSINE, by rejection."""
@@ -273,6 +261,8 @@ def read_embedding_file(path: str):
     version, d, num_classes, num_samples = struct.unpack("<IIII", blob[4:20])
     if version != EMBED_VERSION:
         raise BadVersionError(f"{path}: version {version}, expected {EMBED_VERSION}")
+    if d == 0:
+        raise DataError(f"{path}: embedding dimension d is 0")
     expected = 20 + num_classes * d * 4 + num_samples * (8 + d * 4)
     if len(blob) < expected:
         raise TruncatedFileError(f"{path}: expected {expected} bytes, found {len(blob)}")
@@ -398,8 +388,8 @@ def write_checkpoint(state, config, path: str) -> None:
         "config": json.dumps(config.as_dict(), sort_keys=True).encode(),
     }
     if state.bank is not None:
-        sections["bank_keys"] = _pack_array(np.stack([k.values for k in state.bank.keys]))
-        sections["bank_prompts"] = _pack_array(np.stack([p.values for p in state.bank.prompts]))
+        sections["bank_keys"] = _pack_array(state.bank.keys.values)
+        sections["bank_prompts"] = _pack_array(state.bank.prompts.values)
     tok = io.BytesIO()
     tok.write(struct.pack("<I", len(state.class_tokens)))
     for cid in sorted(state.class_tokens):
@@ -445,10 +435,7 @@ def _state_from_sections(sections: dict):
         if keys.shape != (n, encoders.d) or prompts.shape != (n, config.m, encoders.d):
             raise ValueError(f"bank of shape {keys.shape}/{prompts.shape} does not fit "
                              f"mode {mode!r} with n={n}, m={config.m}, d={encoders.d}")
-        bank = AttributeBank(
-            keys=[ad.parameter(keys[i]) for i in range(n)],
-            prompts=[ad.parameter(prompts[i]) for i in range(n)],
-            n=n, m=config.m, d=encoders.d)
+        bank = AttributeBank(ad.parameter(keys), ad.parameter(prompts))
     tokens = {}
     payload = sections["class_tokens"]
     (count,) = struct.unpack_from("<I", payload, 0)

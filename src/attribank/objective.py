@@ -48,12 +48,6 @@ class LossBreakdown:
     l_k: float
     l_p: float
     total: float
-    lambda_k: float
-    lambda_p: float
-    tau: float
-
-    def as_dict(self) -> dict:
-        return {"l_m": self.l_m, "l_k": self.l_k, "l_p": self.l_p, "total": self.total}
 
 
 def predict_probabilities(z: np.ndarray, text_embeddings, tau: float) -> np.ndarray:
@@ -104,7 +98,7 @@ def triplet_negative(z: np.ndarray, sel: Selection, bank: AttributeBank) -> floa
     if len(sel.indices) >= bank.n:
         raise ValueError("triplet variant needs at least one unselected key as negative")
     selected = set(sel.indices)
-    return min(score(z, bank.keys[i].values) for i in range(bank.n) if i not in selected)
+    return min(score(z, bank.keys.values[i]) for i in range(bank.n) if i not in selected)
 
 
 def key_matching_loss(z: np.ndarray, sel: Selection, bank: AttributeBank,
@@ -124,7 +118,7 @@ def key_matching_loss(z: np.ndarray, sel: Selection, bank: AttributeBank,
                     else frozen_negative)
     terms = []
     for i in sel.indices:
-        cos = ad.cosine_sim(zc, bank.keys[i])
+        cos = ad.cosine_sim(zc, ad.take(bank.keys, i))
         if variant.kind == "cosine":
             terms.append(ad.add(ad.scale(cos, -1.0), 1.0))
         elif variant.kind == "mse":
@@ -146,7 +140,8 @@ def prompt_orthogonality_loss(bank: AttributeBank, text_encoder) -> ad.Tensor:
     n = bank.n
     if n == 1:
         return ad.constant(0.0)
-    embs = [text_encoder.encode_text(TokenSequence(p)) for p in bank.prompts]
+    embs = [text_encoder.encode_text(TokenSequence(ad.take(bank.prompts, i)))
+            for i in range(n)]
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -161,11 +156,10 @@ def total_loss(l_m: ad.Tensor, l_k: ad.Tensor, l_p: ad.Tensor,
     return ad.add(ad.add(l_m, ad.scale(l_k, lambda_k)), ad.scale(l_p, lambda_p))
 
 
-def breakdown(l_m: ad.Tensor, l_k: ad.Tensor, l_p: ad.Tensor, total: ad.Tensor,
-              lambda_k: float, lambda_p: float, tau: float) -> LossBreakdown:
-    parts = LossBreakdown(
-        l_m=float(l_m.values), l_k=float(l_k.values), l_p=float(l_p.values),
-        total=float(total.values), lambda_k=lambda_k, lambda_p=lambda_p, tau=tau)
+def breakdown(l_m: ad.Tensor, l_k: ad.Tensor, l_p: ad.Tensor,
+              total: ad.Tensor) -> LossBreakdown:
+    parts = LossBreakdown(l_m=float(l_m.values), l_k=float(l_k.values),
+                          l_p=float(l_p.values), total=float(total.values))
     if not all(np.isfinite(v) for v in (parts.l_m, parts.l_k, parts.l_p, parts.total)):
         raise ad.NumericError(
             f"non-finite loss: l_m={parts.l_m:.6g} l_k={parts.l_k:.6g} l_p={parts.l_p:.6g}")

@@ -182,15 +182,16 @@ def lr_at(step: int, total_steps: int, lr0: float) -> float:
 
 
 def _sgd_update(params, lr: float, weight_decay: float) -> None:
-    # Only parameters that actually received gradient move; everything else
-    # stays bit-identical.
+    # Only rows (bank entries) that actually received gradient move, weight
+    # decay included; every other row stays bit-identical.
     for p in params:
-        g = p.grad
-        if g is None or not g.any():
+        if p.grad is None:
             continue
+        rows = np.flatnonzero(p.grad.reshape(len(p.grad), -1).any(axis=1))
+        g = p.grad[rows]
         if weight_decay:
-            g = g + weight_decay * p.values
-        p.values -= lr * g
+            g = g + weight_decay * p.values[rows]
+        p.values[rows] -= lr * g
 
 
 def _diagnostic_dump(batch, encoders) -> str:
@@ -274,7 +275,7 @@ def train_step(state: LearnerState, batch, config: TrainConfig,
         state.selection_counts[sel.indices] += 1
     total = total_loss(l_m, l_k, l_p, config.lambda_k, config.lambda_p)
     try:
-        parts = breakdown(l_m, l_k, l_p, total, config.lambda_k, config.lambda_p, config.tau)
+        parts = breakdown(l_m, l_k, l_p, total)
     except ad.NumericError as e:
         raise ad.NumericError(f"{e}\n{_diagnostic_dump(batch, state.encoders)}") from None
 

@@ -76,7 +76,7 @@ def test_criterion_2_oracle_equivalence():
         z = rng(seed).standard_normal(8)
         got = select_top_c(z, bank, 3).indices
         dists = [1.0 - float(np.dot(z, k) / (np.linalg.norm(z) * np.linalg.norm(k)))
-                 for k in bank.key_matrix()]
+                 for k in bank.keys.values]
         want = sorted(range(8), key=lambda i: (dists[i], i))[:3]
         mismatches += got != want
 
@@ -105,12 +105,12 @@ def test_criterion_2_oracle_equivalence():
         bank = init_bank(6, 2, 8, seed=seed)
         sel = select_top_c(z, bank, 3)
         lk = key_matching_loss(z, sel, bank, DistanceVariant("cosine")).item()
-        lk_oracle = sum(1.0 - cos(z, bank.keys[i].values) for i in sel.indices)
+        lk_oracle = sum(1.0 - cos(z, bank.keys.values[i]) for i in sel.indices)
         worst = max(worst, abs(lk - lk_oracle) / max(1.0, abs(lk_oracle)))
 
         lp = prompt_orthogonality_loss(bank, enc).item()
-        ws = [enc.encode_text(TokenSequence(ad.constant(p_.values))).values
-              for p_ in bank.prompts]
+        ws = [enc.encode_text(TokenSequence(ad.constant(p_))).values
+              for p_ in bank.prompts.values]
         lp_oracle = sum(abs(cos(ws[i], ws[j]))
                         for i in range(6) for j in range(i + 1, 6)) / (6 * 5)
         worst = max(worst, abs(lp - lp_oracle) / max(1.0, abs(lp_oracle)))
@@ -143,25 +143,19 @@ def test_criterion_3_gradient_routing():
         ad.reset_tape()
         l_m, l_k, l_p, routing = forward(state, batch, cfg)
         ad.backward(total_loss(l_m, l_k, l_p, lam_k, lam_p))
-        key_grads = [k.grad.copy() if k.grad is not None else None for k in state.bank.keys]
-        prompt_grads = [p.grad.copy() if p.grad is not None else None
-                        for p in state.bank.prompts]
+        key_grads = state.bank.keys.grad.copy()
+        prompt_grads = state.bank.prompts.grad.copy()
 
         ad.reset_tape()
         _, l_k2, _, _ = forward(state, batch, cfg, routing)
         ad.backward(ad.scale(l_k2, lam_k))
-        for k, ref in zip(state.bank.keys, key_grads):
-            a = ref if ref is not None else np.zeros_like(k.values)
-            b = k.grad if k.grad is not None else np.zeros_like(k.values)
-            worst_key = max(worst_key, float(np.abs(a - b).max()))
+        worst_key = max(worst_key, float(np.abs(key_grads - state.bank.keys.grad).max()))
 
         ad.reset_tape()
         l_m3, _, l_p3, _ = forward(state, batch, cfg, routing)
         ad.backward(ad.add(l_m3, ad.scale(l_p3, lam_p)))
-        for p, ref in zip(state.bank.prompts, prompt_grads):
-            a = ref if ref is not None else np.zeros_like(p.values)
-            b = p.grad if p.grad is not None else np.zeros_like(p.values)
-            worst_prompt = max(worst_prompt, float(np.abs(a - b).max()))
+        worst_prompt = max(worst_prompt,
+                           float(np.abs(prompt_grads - state.bank.prompts.grad).max()))
 
         if lam_p == 0.0:
             selected = set()
@@ -169,8 +163,7 @@ def test_criterion_3_gradient_routing():
                 selected.update(sel.indices)
             for i, ref in enumerate(prompt_grads):
                 if i not in selected:
-                    zero = ref is None or not ref.any()
-                    unselected_ok = unselected_ok and zero
+                    unselected_ok = unselected_ok and not ref.any()
 
     announce(3, worst_key <= 1e-12 and worst_prompt <= 1e-12 and unselected_ok,
              f"key dev {worst_key:.2e}, prompt dev {worst_prompt:.2e}, "
@@ -196,14 +189,14 @@ def test_criterion_4_frozen_and_sparse_invariants():
     for s in batch:
         z = state2.encoders.encode_image(s)
         selected.update(select_top_c(z, state2.bank, cfg2.c).indices)
-    key_before = [k.values.copy() for k in state2.bank.keys]
-    prompt_before = [p.values.copy() for p in state2.bank.prompts]
+    key_before = state2.bank.keys.values.copy()
+    prompt_before = state2.bank.prompts.values.copy()
     train_step(state2, batch, cfg2)
     sparse_ok = True
     for i in range(cfg2.n):
         if i not in selected:
-            sparse_ok = sparse_ok and np.array_equal(state2.bank.keys[i].values, key_before[i])
-            sparse_ok = sparse_ok and np.array_equal(state2.bank.prompts[i].values,
+            sparse_ok = sparse_ok and np.array_equal(state2.bank.keys.values[i], key_before[i])
+            sparse_ok = sparse_ok and np.array_equal(state2.bank.prompts.values[i],
                                                      prompt_before[i])
     announce(4, frozen_ok and sparse_ok,
              f"checksum stable {frozen_ok}, untouched params bit-identical {sparse_ok}")
@@ -273,8 +266,8 @@ def test_criterion_7_synthetic_cdcl():
 
 def test_criterion_8_prompt_diversity_mechanism():
     def mean_abs_cos(state):
-        embs = [state.encoders.encode_text(TokenSequence(ad.constant(p.values))).values
-                for p in state.bank.prompts]
+        embs = [state.encoders.encode_text(TokenSequence(ad.constant(p))).values
+                for p in state.bank.prompts.values]
         n = len(embs)
         vals = []
         for i in range(n):

@@ -123,6 +123,7 @@ def _fd_cases(seed):
     m42 = g.standard_normal((4, 2))
     c4 = g.standard_normal(4)
     c2 = g.standard_normal(2)
+    w12 = g.standard_normal(12)
     cases = {
         "matmul_left": (x, lambda t: weighted_sum(ad.matmul(t, ad.constant(m42)), w32)),
         "matmul_vec": (v, lambda t: weighted_sum(ad.matmul(ad.constant(x), t), w3)),
@@ -132,7 +133,9 @@ def _fd_cases(seed):
         "scale": (v, lambda t: weighted_sum(ad.scale(t, -2.3), w4)),
         "concat": (v, lambda t: weighted_sum(ad.concat([t, ad.constant(c2)]), w6)),
         "transpose": (x, lambda t: weighted_sum(ad.transpose(t), wxt)),
-        "l2norm": (v, lambda t: ad.l2norm(t)),
+        # row 2 read twice: both reads accumulate into it; row 1 gets nothing
+        "take": (x, lambda t: weighted_sum(
+            ad.concat([ad.take(t, 2), ad.take(t, 0), ad.take(t, 2)]), w12)),
         "cosine_sim": (v, lambda t: ad.cosine_sim(t, ad.constant(c4))),
         "softmax_vec": (v, lambda t: weighted_sum(ad.softmax_logits(t), w4)),
         "softmax_rows": (x, lambda t: weighted_sum(ad.softmax_logits(t), wx)),
@@ -202,6 +205,13 @@ def test_concat_promotes_scalars():
              ad.constant(2.5)]
     out = ad.concat(parts)
     assert out.shape == (2,)
+
+
+def test_take_row_out_of_range():
+    with pytest.raises(IndexError, match="take"):
+        ad.take(ad.parameter(np.zeros((2, 3))), 2)
+    with pytest.raises(IndexError, match="take"):
+        ad.take(ad.parameter(np.zeros((2, 3))), -1)
 
 
 def test_neg_log_prob_index_out_of_range():

@@ -24,21 +24,21 @@ def selection_oracle(z, key_rows, c):
 def test_init_same_seed_bit_identical():
     a = init_bank(5, 3, 8, seed=42)
     b = init_bank(5, 3, 8, seed=42)
-    for x, y in zip(a.keys + a.prompts, b.keys + b.prompts):
-        np.testing.assert_array_equal(x.values, y.values)
+    np.testing.assert_array_equal(a.keys.values, b.keys.values)
+    np.testing.assert_array_equal(a.prompts.values, b.prompts.values)
 
 
 def test_init_shapes_at_reference_sizes():
     bank = init_bank(10, 12, 16, seed=0)
-    assert np.stack([k.values for k in bank.keys]).shape == (10, 16)
-    assert np.stack([p.values for p in bank.prompts]).shape == (10, 12, 16)
+    assert bank.keys.shape == (10, 16)
+    assert bank.prompts.shape == (10, 12, 16)
 
 
 def test_init_key_norms_bounded_over_100_seeds():
     # Keys are N(0, 1/d) per entry, so norms concentrate near 1 for d=16.
     for seed in range(100):
         bank = init_bank(10, 2, 16, seed=seed)
-        norms = np.linalg.norm(bank.key_matrix(), axis=1)
+        norms = np.linalg.norm(bank.keys.values, axis=1)
         assert norms.min() >= 0.3 and norms.max() <= 2.5
 
 
@@ -78,7 +78,7 @@ def test_select_full_bank_returns_sorted_distances():
 def test_select_constructed_orthogonal_antipodal():
     bank = init_bank(3, 1, 2, seed=0)
     for i, row in enumerate([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]):
-        bank.keys[i].values[:] = row
+        bank.keys.values[i] = row
     sel = select_top_c(np.array([1.0, 0.0]), bank, 2)
     assert sel.indices == [0, 1]
     np.testing.assert_allclose(sel.distances, [0.0, 1.0], atol=1e-9)
@@ -91,7 +91,7 @@ def test_select_matches_full_sort_oracle_1000_trials():
         z = g.standard_normal(8)
         c = 3
         sel = select_top_c(z, bank, c)
-        assert sel.indices == selection_oracle(z, bank.key_matrix(), c), f"seed {seed}"
+        assert sel.indices == selection_oracle(z, bank.keys.values, c), f"seed {seed}"
 
 
 def test_select_distances_match_score_recomputation():
@@ -99,14 +99,13 @@ def test_select_distances_match_score_recomputation():
     z = rng(4).standard_normal(5)
     sel = select_top_c(z, bank, 4)
     for i, d in zip(sel.indices, sel.distances):
-        assert abs(d - score(z, bank.keys[i].values)) <= 1e-12
+        assert abs(d - score(z, bank.keys.values[i])) <= 1e-12
 
 
 def test_select_tie_breaks_by_lowest_index():
     bank = init_bank(4, 1, 3, seed=0)
     v = np.array([1.0, 2.0, -0.5])
-    for k in bank.keys:
-        k.values[:] = v  # every key at distance 0
+    bank.keys.values[:] = v  # every key at distance 0
     sel = select_top_c(v, bank, 2)
     assert sel.indices == [0, 1]
 
@@ -132,7 +131,7 @@ def test_selected_distances_dominate_unselected():
         bank = init_bank(9, 1, 7, seed=seed)
         z = rng(seed).standard_normal(7)
         sel = select_top_c(z, bank, 4)
-        unselected = [score(z, bank.keys[i].values)
+        unselected = [score(z, bank.keys.values[i])
                       for i in range(9) if i not in sel.indices]
         assert max(sel.distances) <= min(unselected) + 1e-15
 
@@ -146,7 +145,7 @@ def test_compose_minimal_lengths():
     sel = select_top_c(np.ones(4), bank, 1)
     seq = compose_text_input(sel, bank, class_seq(4))
     assert seq.length == 2
-    np.testing.assert_array_equal(seq.tokens.values[0], bank.prompts[sel.indices[0]].values[0])
+    np.testing.assert_array_equal(seq.tokens.values[0], bank.prompts.values[sel.indices[0], 0])
 
 
 def test_compose_reference_arity():
@@ -164,7 +163,7 @@ def test_compose_matches_list_append_oracle():
         seq = compose_text_input(sel, bank, cls)
         rows = []
         for i in sel.indices:
-            rows.extend(list(bank.prompts[i].values))
+            rows.extend(list(bank.prompts.values[i]))
         rows.extend(list(cls.tokens.values))
         np.testing.assert_array_equal(seq.tokens.values, np.stack(rows))
 
@@ -175,7 +174,7 @@ def test_compose_ignores_unselected_prompt_mutation():
     sel = select_top_c(z, bank, 2)
     before = compose_text_input(sel, bank, class_seq(5)).tokens.values.copy()
     untouched = [i for i in range(4) if i not in sel.indices]
-    bank.prompts[untouched[0]].values[:] += 99.0
+    bank.prompts.values[untouched[0]] += 99.0
     after = compose_text_input(sel, bank, class_seq(5)).tokens.values
     np.testing.assert_array_equal(before, after)
 
@@ -188,9 +187,9 @@ def test_compose_routes_gradient_to_selected_prompts_only():
     ad.backward(ad.sum_all(seq.tokens))
     for i in range(4):
         if i in sel.indices:
-            np.testing.assert_array_equal(bank.prompts[i].grad, np.ones((2, 5)))
+            np.testing.assert_array_equal(bank.prompts.grad[i], np.ones((2, 5)))
         else:
-            assert bank.prompts[i].grad is None
+            np.testing.assert_array_equal(bank.prompts.grad[i], np.zeros((2, 5)))
 
 
 def test_compose_dimension_mismatch():

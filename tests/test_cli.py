@@ -6,6 +6,7 @@ import pytest
 
 from attribank import cli
 from attribank import data_io as dio
+from attribank.encoders import ImageSample
 
 
 def write_config(tmp_path, **overrides):
@@ -105,6 +106,65 @@ def test_train_resume_picks_highest_task_index(tmp_path):
     (ckpts / "after_task_99.ckpt").write_bytes(b"not a checkpoint")
     assert cli.main(["train", "--config", cfg, "--out", str(partial), "--resume"]) == 0
     assert (full / "metrics.json").read_bytes() == (partial / "metrics.json").read_bytes()
+
+
+def test_resume_after_crash_between_run_dir_writes(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    full, partial = tmp_path / "full", tmp_path / "partial"
+    assert cli.main(["train", "--config", cfg, "--out", str(full)]) == 0
+    matrix_writes = []
+    real_dump = cli.dump_json
+
+    def crash_on_second_matrix_write(obj, path):
+        if path.endswith("accuracy_matrix.json"):
+            matrix_writes.append(path)
+            if len(matrix_writes) == 2:
+                raise OSError("disk full")
+        real_dump(obj, path)
+
+    monkeypatch.setattr(cli, "dump_json", crash_on_second_matrix_write)
+    with pytest.raises(OSError, match="disk full"):
+        cli.main(["train", "--config", cfg, "--out", str(partial)])
+    monkeypatch.undo()
+    assert cli.main(["train", "--config", cfg, "--out", str(partial), "--resume"]) == 0
+    assert (full / "metrics.json").read_bytes() == (partial / "metrics.json").read_bytes()
+
+
+@pytest.mark.parametrize("change", ["config", "mode"])
+def test_resume_refuses_changed_config_or_mode(tmp_path, capsys, change):
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--config", write_config(tmp_path), "--out", out]) == 0
+    os.remove(os.path.join(out, "checkpoints", "after_task_02.ckpt"))
+    if change == "config":
+        argv = ["--config", write_config(tmp_path, train={"n": 4, "m": 2, "c": 2,
+                "epochs_per_task": 1, "batch_size": 4, "tau": 0.3, "seed": 1})]
+    else:
+        argv = ["--config", write_config(tmp_path), "--mode", "shared_prompt"]
+    capsys.readouterr()
+    assert cli.main(["train", *argv, "--out", out, "--resume"]) == 1
+    assert "--resume" in capsys.readouterr().err
+
+
+def _write_atrb_pair(tmp_path, d, train_records):
+    sample = [ImageSample(vector=np.zeros(d), label=0, task_id=0)]
+    paths = {}
+    for split, samples in (("train", sample if train_records else []), ("test", sample)):
+        paths[split] = str(tmp_path / f"{split}.atrb")
+        dio.write_embedding_file(paths[split], samples, {0: np.ones(d)}, d)
+    return write_config(tmp_path, data={"kind": "file", "train_path": paths["train"],
+                                        "test_path": paths["test"]})
+
+
+def test_atrb_with_zero_dimension_exits_2(tmp_path, capsys):
+    cfg = _write_atrb_pair(tmp_path, d=0, train_records=True)
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "dimension d is 0" in capsys.readouterr().err
+
+
+def test_atrb_train_file_without_records_exits_2(tmp_path, capsys):
+    cfg = _write_atrb_pair(tmp_path, d=4, train_records=False)
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "no training records" in capsys.readouterr().err
 
 
 def test_numeric_failure_inside_a_task_exits_3(tmp_path, capsys):

@@ -73,10 +73,9 @@ def test_train_step_zero_weights_leave_keys_untouched():
     stream = tiny_stream()
     cfg = tiny_config(lambda_k=0.0, lambda_p=0.0)
     state = prepared_state(stream, cfg)
-    before = [k.values.copy() for k in state.bank.keys]
+    before = state.bank.keys.values.copy()
     train_step(state, stream.tasks[0].train[:4], cfg)
-    for k, b in zip(state.bank.keys, before):
-        np.testing.assert_array_equal(k.values, b)
+    np.testing.assert_array_equal(state.bank.keys.values, before)
 
 
 def test_train_step_sparse_prompt_updates():
@@ -88,13 +87,31 @@ def test_train_step_sparse_prompt_updates():
     for s in batch:
         z = state.encoders.encode_image(s)
         selected.update(select_top_c(z, state.bank, cfg.c).indices)
-    before = [p.values.copy() for p in state.bank.prompts]
+    before = state.bank.prompts.values.copy()
     train_step(state, batch, cfg)
-    for i, (p, b) in enumerate(zip(state.bank.prompts, before)):
+    for i, (p, b) in enumerate(zip(state.bank.prompts.values, before)):
         if i in selected:
-            assert not np.array_equal(p.values, b), f"selected prompt {i} did not move"
+            assert not np.array_equal(p, b), f"selected prompt {i} did not move"
         else:
-            np.testing.assert_array_equal(p.values, b)
+            np.testing.assert_array_equal(p, b)
+
+
+def test_train_step_weight_decay_leaves_unselected_rows_bit_identical():
+    stream = tiny_stream()
+    cfg = tiny_config(lambda_p=0.0, weight_decay=0.05)
+    state = prepared_state(stream, cfg)
+    batch = stream.tasks[0].train[:2]
+    selected = set()
+    for s in batch:
+        z = state.encoders.encode_image(s)
+        selected.update(select_top_c(z, state.bank, cfg.c).indices)
+    assert len(selected) < cfg.n
+    keys, prompts = state.bank.keys.values.copy(), state.bank.prompts.values.copy()
+    train_step(state, batch, cfg)
+    for i in range(cfg.n):
+        moved = (not np.array_equal(state.bank.keys.values[i], keys[i]),
+                 not np.array_equal(state.bank.prompts.values[i], prompts[i]))
+        assert moved == ((True, True) if i in selected else (False, False)), f"row {i}"
 
 
 def test_train_step_matches_fd_sgd_oracle():
@@ -263,10 +280,10 @@ def test_shared_prompt_single_class_takes_zero_step():
     stream = tiny_stream(tasks=1, classes=1)
     cfg = tiny_config()
     state = prepared_state(stream, cfg, mode="shared_prompt")
-    before = state.bank.prompts[0].values.copy()
+    before = state.bank.prompts.values.copy()
     parts = train_step(state, stream.tasks[0].train[:3], cfg)
     assert parts.l_m == 0.0
-    np.testing.assert_array_equal(state.bank.prompts[0].values, before)
+    np.testing.assert_array_equal(state.bank.prompts.values, before)
 
 
 def test_non_finite_loss_names_losses_once_and_samples_by_class():
@@ -292,7 +309,7 @@ def test_shared_prompt_gradient_matches_finite_differences():
     state = prepared_state(stream, cfg, mode="shared_prompt")
     batch = stream.tasks[0].train[:2]
     err = ad.finite_difference_check(lambda _: forward(state, batch, cfg)[0],
-                                     state.bank.prompts[0], h=1e-5)
+                                     state.bank.prompts, h=1e-5)
     assert err <= 1e-4
 
 
@@ -393,8 +410,7 @@ def test_checkpoint_round_trip_other_modes(tmp_path, mode):
     assert (loaded.mode, cfg2) == (mode, cfg)
     if mode == "shared_prompt":
         assert loaded.bank.n == 1
-        np.testing.assert_array_equal(loaded.bank.prompts[0].values,
-                                      state.bank.prompts[0].values)
+        np.testing.assert_array_equal(loaded.bank.prompts.values, state.bank.prompts.values)
     else:
         assert loaded.bank is None
 
