@@ -7,8 +7,9 @@ Everything is double precision: the package's acceptance rests on tight
 gradient checks, not throughput.
 
 Supported primitives: matmul, add, mul, scale, concat, take, transpose,
-cosine_sim, softmax_logits, neg_log_prob, abs, sum, mean. No broadcasting
-beyond scalar-tensor; shapes are checked explicitly per primitive.
+cosine_sim, cosine_logits, softmax_logits, neg_log_prob, abs, sum, mean. No
+broadcasting beyond scalar-tensor; shapes are checked explicitly per
+primitive.
 
 The tape is module-global and single-threaded: one forward pass owns it
 until the next ``reset_tape``. Tensors with requires_grad=False never
@@ -94,10 +95,18 @@ def reset_tape() -> None:
     _tape = []
 
 
-def _record(op: str, inputs: tuple, output: Tensor, grad_fn) -> Tensor:
-    if any(t.requires_grad for t in inputs):
-        output.requires_grad = True
-        _tape.append(TapeNode(op, inputs, output, grad_fn))
+def record(op: str, inputs: tuple, output: Tensor, grad_fn) -> Tensor:
+    """Put ``output`` on the tape when any input requires gradient.
+
+    ``grad_fn(g)`` returns one gradient (or None) per input. Every primitive
+    ends here, and so does a fused block over constant weights, such as the
+    frozen text tower.
+    """
+    for t in inputs:
+        if t.requires_grad:
+            output.requires_grad = True
+            _tape.append(TapeNode(op, inputs, output, grad_fn))
+            break
     return output
 
 
@@ -152,7 +161,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         # (m,k) @ (k,) -> (m,)
         return np.outer(g, bv), av.T @ g
 
-    return _record("matmul", (a, b), out, grad_fn)
+    return record("matmul", (a, b), out, grad_fn)
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -166,7 +175,7 @@ def add(a: Tensor, b) -> Tensor:
         gb = g if b_shape == out.shape else np.asarray(g.sum())
         return ga, gb
 
-    return _record("add", (a, b), out, grad_fn)
+    return record("add", (a, b), out, grad_fn)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -185,7 +194,7 @@ def mul(a: Tensor, b) -> Tensor:
             gb = np.asarray(gb.sum())
         return ga, gb
 
-    return _record("mul", (a, b), out, grad_fn)
+    return record("mul", (a, b), out, grad_fn)
 
 
 def scale(a: Tensor, alpha: float) -> Tensor:
@@ -198,7 +207,7 @@ def scale(a: Tensor, alpha: float) -> Tensor:
     def grad_fn(g):
         return (g * alpha,)
 
-    return _record("scale", (a,), out, grad_fn)
+    return record("scale", (a,), out, grad_fn)
 
 
 def concat(tensors) -> Tensor:
@@ -226,7 +235,7 @@ def concat(tensors) -> Tensor:
             offset += length
         return tuple(grads)
 
-    return _record("concat", tuple(tensors), out, grad_fn)
+    return record("concat", tuple(tensors), out, grad_fn)
 
 
 def take(a: Tensor, i: int) -> Tensor:
@@ -243,7 +252,7 @@ def take(a: Tensor, i: int) -> Tensor:
         a.grad[i] += g
         return (None,)
 
-    return _record("take", (a,), out, grad_fn)
+    return record("take", (a,), out, grad_fn)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -255,7 +264,7 @@ def transpose(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (g.T,)
 
-    return _record("transpose", (a,), out, grad_fn)
+    return record("transpose", (a,), out, grad_fn)
 
 
 def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
@@ -278,7 +287,49 @@ def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
         gb = gf * (av / (na * nb) - (c / (nb * nb)) * bv)
         return ga.reshape(a_shape), gb.reshape(a_shape)
 
-    return _record("cosine_sim", (a, b), out, grad_fn)
+    return record("cosine_sim", (a, b), out, grad_fn)
+
+
+def cosine_logits(a: Tensor, bs, alpha: float) -> Tensor:
+    """The vector of ``alpha * cos(a, b_k)`` over ``bs``, as one tape node.
+
+    Bit-identical to concatenating ``scale(cosine_sim(a, b_k), alpha)`` over k,
+    in values and gradients, without 2k + 1 nodes per call.
+    """
+    a = _as_tensor(a)
+    bs = tuple(_as_tensor(b) for b in bs)
+    alpha = float(alpha)
+    if not np.isfinite(alpha):
+        raise NumericError(f"cosine_logits: non-finite factor {alpha}")
+    if not bs:
+        raise ShapeError("cosine_logits: empty input list")
+    a_shape = a.shape
+    for b in bs:
+        if b.shape != a_shape:
+            raise ShapeError(f"cosine_logits: shape mismatch {a_shape} vs {b.shape}")
+    av = a.values.reshape(-1)
+    na = np.sqrt(np.dot(av, av) + NORM_EPS)
+    bvs = [b.values.reshape(-1) for b in bs]
+    nbs = [np.sqrt(np.dot(bv, bv) + NORM_EPS) for bv in bvs]
+    cs = [np.dot(av, bv) / (na * nb) for bv, nb in zip(bvs, nbs)]
+    out = Tensor(np.array([c * alpha for c in cs]))
+
+    def grad_fn(g):
+        ga = None
+        gbs = [None] * len(bs)
+        # Reverse order, as backward would visit the per-entry nodes, so a's
+        # gradient is summed in the same order.
+        for k in reversed(range(len(bs))):
+            gf = float(g[k] * alpha)
+            bv, nb, c = bvs[k], nbs[k], cs[k]
+            if a.requires_grad:
+                gk = (gf * (bv / (na * nb) - (c / (na * na)) * av)).reshape(a_shape)
+                ga = gk if ga is None else ga + gk
+            if bs[k].requires_grad:
+                gbs[k] = (gf * (av / (na * nb) - (c / (nb * nb)) * bv)).reshape(a_shape)
+        return (ga, *gbs)
+
+    return record("cosine_logits", (a, *bs), out, grad_fn)
 
 
 def softmax_logits(a: Tensor) -> Tensor:
@@ -296,7 +347,7 @@ def softmax_logits(a: Tensor) -> Tensor:
         dot = (g * y).sum(axis=-1, keepdims=True)
         return ((g - dot) * y,)
 
-    return _record("softmax_logits", (a,), out, grad_fn)
+    return record("softmax_logits", (a,), out, grad_fn)
 
 
 def neg_log_prob(logits: Tensor, index: int) -> Tensor:
@@ -322,7 +373,7 @@ def neg_log_prob(logits: Tensor, index: int) -> Tensor:
         grad[index] -= 1.0
         return (float(g) * grad,)
 
-    return _record("neg_log_prob", (logits,), out, grad_fn)
+    return record("neg_log_prob", (logits,), out, grad_fn)
 
 
 def absolute(a: Tensor) -> Tensor:
@@ -333,7 +384,7 @@ def absolute(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (g * np.sign(av),)
 
-    return _record("abs", (a,), out, grad_fn)
+    return record("abs", (a,), out, grad_fn)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -344,7 +395,7 @@ def sum_all(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (np.full(shape, float(g)),)
 
-    return _record("sum", (a,), out, grad_fn)
+    return record("sum", (a,), out, grad_fn)
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -356,7 +407,7 @@ def mean_all(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (np.full(shape, float(g) / n),)
 
-    return _record("mean", (a,), out, grad_fn)
+    return record("mean", (a,), out, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -364,29 +415,38 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of every requires_grad tensor on the active tape.
+    """Populate gradients of the requires_grad tensors on the active tape.
 
-    Gradient buffers are re-zeroed first, so leaves unreachable from the loss
-    end with exact zero gradients and replaying the same tape is bit-stable.
+    Every leaf on the tape (and every input of a ``take``, which accumulates
+    into its input's buffer in place) gets a fresh zero buffer first, so
+    leaves unreachable from the loss end with exact zero gradients and
+    replaying the same tape is bit-stable. Intermediate outputs get a buffer
+    only when the loss reaches them: their first gradient is stored as is,
+    later ones are added out of place, so no zero array is built per node.
     """
     if loss.shape != ():
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
     nodes = _tape
-    seen: set[int] = set()
+    outputs = set()
     for node in nodes:
-        for t in node.inputs + (node.output,):
-            if t.requires_grad and id(t) not in seen:
-                t.grad = np.zeros_like(t.values)
-                seen.add(id(t))
+        node.output.grad = None
+        outputs.add(id(node.output))
+    owned = [t for node in nodes for t in node.inputs
+             if t.requires_grad and (node.op == "take" or id(t) not in outputs)]
+    for t in owned:
+        t.grad = None
+    for t in owned:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.values)
     if loss.requires_grad:
         loss.grad = np.ones_like(loss.values)
     for node in reversed(nodes):
         out_grad = node.output.grad
-        if out_grad is None or not out_grad.any():
+        if out_grad is None:
             continue
         for t, g in zip(node.inputs, node.grad_fn(out_grad)):
             if g is not None and t.requires_grad:
-                t.grad += g
+                t.grad = g if t.grad is None else t.grad + g
 
 
 def finite_difference_check(f, at: Tensor, h: float = 1e-5) -> float:

@@ -87,11 +87,15 @@ def init_bank(n: int, m: int, d: int, seed: int,
 
 def score(z: np.ndarray, key: np.ndarray) -> float:
     """Cosine distance 1 - cos(z, key), in [0, 2]."""
+    return float(scores(z, np.asarray(key, dtype=np.float64)[None])[0])
+
+
+def scores(z: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Cosine distances from z to each row of ``keys``, checked for finiteness once."""
     z = np.asarray(z, dtype=np.float64)
-    key = np.asarray(key, dtype=np.float64)
-    if not (np.isfinite(z).all() and np.isfinite(key).all()):
+    if not (np.isfinite(z).all() and np.isfinite(keys).all()):
         raise ad.NumericError("score: non-finite input")
-    return 1.0 - ad.cosine_value(z, key)
+    return np.array([1.0 - ad.cosine_value(z, k) for k in keys])
 
 
 def select_top_c(z: np.ndarray, bank: AttributeBank, c: int) -> Selection:
@@ -102,7 +106,7 @@ def select_top_c(z: np.ndarray, bank: AttributeBank, c: int) -> Selection:
     """
     if not 1 <= c <= bank.n:
         raise ValueError(f"select_top_c: c={c} out of range for bank of {bank.n}")
-    distances = np.array([score(z, k) for k in bank.keys.values])
+    distances = scores(z, bank.keys.values)
     order = np.argsort(distances, kind="stable")[:c]
     return Selection(indices=[int(i) for i in order],
                      distances=[float(distances[i]) for i in order])

@@ -125,7 +125,13 @@ class FrozenEncoderPair:
         return self.weights.theta["w_image"] @ x
 
     def encode_text(self, seq: TokenSequence) -> ad.Tensor:
-        """Embed a token sequence; differentiable w.r.t. input tokens only."""
+        """Embed a token sequence; differentiable w.r.t. input tokens only.
+
+        The tower is one tape node. Its arithmetic, forward and backward, is
+        that of the primitive chain add, matmul, transpose, matmul, scale,
+        softmax_logits, matmul, matmul, matmul, so values and gradients are
+        bit-identical to building the chain, without nine nodes per call.
+        """
         x = seq.tokens
         s, dim = x.shape
         if dim != self.d:
@@ -133,12 +139,24 @@ class FrozenEncoderPair:
         if s > self.max_tokens:
             raise ad.ShapeError(
                 f"encode_text: sequence length {s} exceeds positional table ({self.max_tokens})")
-        xp = ad.add(x, ad.constant(self.weights.psi["pos"][:s]))
-        scores = ad.scale(ad.matmul(ad.matmul(xp, self._mix_t), ad.transpose(xp)), self._inv_sqrt_d)
-        attn = ad.softmax_logits(scores)
-        mixed = ad.matmul(attn, xp)
-        pooled = ad.matmul(ad.constant(np.full(s, 1.0 / s)), mixed)  # (s,) @ (s,d) -> (d,)
-        return ad.matmul(self._proj_t, pooled)
+        mix, proj, alpha = self._mix_t.values, self._proj_t.values, self._inv_sqrt_d
+        xp = x.values + self.weights.psi["pos"][:s]
+        xp_t = np.ascontiguousarray(xp.T)
+        xm = xp @ mix
+        scores = (xm @ xp_t) * alpha
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn = e / e.sum(axis=-1, keepdims=True)
+        pool = np.full(s, 1.0 / s)
+        pooled = pool @ (attn @ xp)  # (s,) @ (s,d) -> (d,)
+
+        def grad_fn(g):
+            g_mixed = np.outer(pool, proj.T @ g)
+            g_attn = g_mixed @ xp.T
+            g_scores = ((g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * attn) * alpha
+            g_xp = attn.T @ g_mixed + (xm.T @ g_scores).T
+            return (g_xp + (g_scores @ xp_t.T) @ mix.T,)
+
+        return ad.record("encode_text", (x,), ad.Tensor(proj @ pooled), grad_fn)
 
 
 def class_token(seed: int, class_id: int, d: int) -> np.ndarray:

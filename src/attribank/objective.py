@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .bank import AttributeBank, Selection, score
+from .bank import AttributeBank, Selection, scores
 from .encoders import TokenSequence
 
 _VARIANTS = ("cosine", "mse", "triplet")
@@ -83,7 +83,7 @@ def classification_loss(batch, tau: float) -> ad.Tensor:
         if not 0 <= label < len(embs):
             raise IndexError(f"label index {label} out of range for {len(embs)} classes")
         zc = ad.constant(np.asarray(z, dtype=np.float64))
-        logits = ad.concat([ad.scale(ad.cosine_sim(zc, w), inv_tau) for w in embs])
+        logits = ad.cosine_logits(zc, embs, inv_tau)
         nlls.append(ad.neg_log_prob(logits, label))
     return ad.mean_all(ad.concat(nlls))
 
@@ -98,7 +98,8 @@ def triplet_negative(z: np.ndarray, sel: Selection, bank: AttributeBank) -> floa
     if len(sel.indices) >= bank.n:
         raise ValueError("triplet variant needs at least one unselected key as negative")
     selected = set(sel.indices)
-    return min(score(z, bank.keys.values[i]) for i in range(bank.n) if i not in selected)
+    distances = scores(z, bank.keys.values)
+    return min(float(distances[i]) for i in range(bank.n) if i not in selected)
 
 
 def key_matching_loss(z: np.ndarray, sel: Selection, bank: AttributeBank,
@@ -116,18 +117,15 @@ def key_matching_loss(z: np.ndarray, sel: Selection, bank: AttributeBank,
     if variant.kind == "triplet":
         neg_dist = (triplet_negative(zc.values, sel, bank) if frozen_negative is None
                     else frozen_negative)
-    terms = []
-    for i in sel.indices:
-        cos = ad.cosine_sim(zc, ad.take(bank.keys, i))
-        if variant.kind == "cosine":
-            terms.append(ad.add(ad.scale(cos, -1.0), 1.0))
-        elif variant.kind == "mse":
-            # ||z/|z| - k/|k|||^2 == 2 - 2 cos(z, k); both vectors unit-normalized
-            terms.append(ad.add(ad.scale(cos, -2.0), 2.0))
-        else:
-            gamma = ad.add(ad.scale(cos, -1.0), 1.0)
-            terms.append(_relu(ad.add(gamma, variant.triplet_margin - neg_dist)))
-    return ad.sum_all(ad.concat(terms))
+    keys = [ad.take(bank.keys, i) for i in sel.indices]
+    if variant.kind == "mse":
+        # ||z/|z| - k/|k|||^2 == 2 - 2 cos(z, k); both vectors unit-normalized
+        terms = ad.add(ad.cosine_logits(zc, keys, -2.0), 2.0)
+    else:
+        terms = ad.add(ad.cosine_logits(zc, keys, -1.0), 1.0)
+        if variant.kind == "triplet":
+            terms = _relu(ad.add(terms, variant.triplet_margin - neg_dist))
+    return ad.sum_all(terms)
 
 
 def prompt_orthogonality_loss(bank: AttributeBank, text_encoder) -> ad.Tensor:
@@ -142,10 +140,9 @@ def prompt_orthogonality_loss(bank: AttributeBank, text_encoder) -> ad.Tensor:
         return ad.constant(0.0)
     embs = [text_encoder.encode_text(TokenSequence(ad.take(bank.prompts, i)))
             for i in range(n)]
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs.append(ad.absolute(ad.cosine_sim(embs[i], embs[j])))
+    # Row i holds the pairs (i, j) for j > i, so the concat is the upper
+    # triangle in row-major order.
+    pairs = [ad.absolute(ad.cosine_logits(embs[i], embs[i + 1:], 1.0)) for i in range(n - 1)]
     return ad.scale(ad.sum_all(ad.concat(pairs)), 1.0 / (n * (n - 1)))
 
 

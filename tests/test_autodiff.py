@@ -137,6 +137,11 @@ def _fd_cases(seed):
         "take": (x, lambda t: weighted_sum(
             ad.concat([ad.take(t, 2), ad.take(t, 0), ad.take(t, 2)]), w12)),
         "cosine_sim": (v, lambda t: ad.cosine_sim(t, ad.constant(c4))),
+        "cosine_logits": (v, lambda t: weighted_sum(
+            ad.cosine_logits(t, [ad.constant(c4), ad.constant(w4)], -1.3), c2)),
+        # the differentiated tensor is two of the three entries
+        "cosine_logits_entries": (v, lambda t: weighted_sum(
+            ad.cosine_logits(ad.constant(c4), [t, ad.constant(w4), t], 0.7), w3)),
         "softmax_vec": (v, lambda t: weighted_sum(ad.softmax_logits(t), w4)),
         "softmax_rows": (x, lambda t: weighted_sum(ad.softmax_logits(t), wx)),
         "neg_log_prob": (v, lambda t: ad.neg_log_prob(t, 2)),
@@ -180,6 +185,39 @@ def test_backward_is_linear():
     ad.reset_tape()
     ad.backward(h(v2))
     np.testing.assert_allclose(combined, a * v1.grad + b * v2.grad, atol=1e-12, rtol=0)
+
+
+def test_cosine_logits_matches_scaled_cosine_chain_bit_for_bit():
+    g = rng(13)
+    a0, b0 = g.standard_normal(5), g.standard_normal((4, 5))
+    w = g.standard_normal(4)
+
+    def grads(fused):
+        a = ad.parameter(a0.copy())
+        bs = [ad.parameter(row.copy()) for row in b0]
+        ad.reset_tape()
+        if fused:
+            logits = ad.cosine_logits(a, bs, 2.5)
+        else:
+            logits = ad.concat([ad.scale(ad.cosine_sim(a, b), 2.5) for b in bs])
+        ad.backward(ad.neg_log_prob(ad.mul(logits, ad.constant(w)), 1))
+        return logits.values, a.grad, [b.grad for b in bs]
+
+    fused, chain = grads(True), grads(False)
+    np.testing.assert_array_equal(fused[0], chain[0])
+    np.testing.assert_array_equal(fused[1], chain[1])
+    for got, want in zip(fused[2], chain[2]):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_cosine_logits_rejects_bad_inputs():
+    v = ad.parameter(np.ones(3))
+    with pytest.raises(ad.ShapeError):
+        ad.cosine_logits(v, [ad.constant(np.ones(4))], 1.0)
+    with pytest.raises(ad.ShapeError):
+        ad.cosine_logits(v, [], 1.0)
+    with pytest.raises(ad.NumericError):
+        ad.cosine_logits(v, [v], np.inf)
 
 
 def test_tape_replay_is_bit_identical():

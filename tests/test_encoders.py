@@ -97,6 +97,34 @@ def test_text_weights_receive_no_gradient():
     assert enc._proj_t.grad is None
 
 
+def test_encode_text_matches_primitive_chain_bit_for_bit():
+    # The text tower is one fused node; it must agree exactly with the same
+    # network built from autodiff primitives, in value and input gradient.
+    enc = make_pair(19)
+    start = rng(20).standard_normal((5, 8))
+    psi = enc.weights.psi
+
+    def chain(x):
+        s = x.shape[0]
+        xp = ad.add(x, ad.constant(psi["pos"][:s]))
+        scores = ad.scale(ad.matmul(ad.matmul(xp, ad.constant(psi["w_mix"])), ad.transpose(xp)),
+                          1.0 / np.sqrt(8))
+        mixed = ad.matmul(ad.softmax_logits(scores), xp)
+        pooled = ad.matmul(ad.constant(np.full(s, 1.0 / s)), mixed)
+        return ad.matmul(ad.constant(psi["w_proj"]), pooled)
+
+    weights = rng(21).standard_normal(8)
+    results = []
+    for encode in (lambda x: enc.encode_text(TokenSequence(x)), chain):
+        x = ad.parameter(start.copy())
+        ad.reset_tape()
+        out = encode(x)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(weights))))
+        results.append((out.values, x.grad))
+    np.testing.assert_array_equal(results[0][0], results[1][0])
+    np.testing.assert_array_equal(results[0][1], results[1][1])
+
+
 def test_encoder_weights_are_write_protected():
     enc = make_pair(17)
     with pytest.raises(ValueError):
