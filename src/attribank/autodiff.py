@@ -6,10 +6,12 @@ gradients into the ``grad`` buffers of every tensor that requires them.
 Everything is double precision: the package's acceptance rests on tight
 gradient checks, not throughput.
 
-Supported primitives: matmul, add, mul, scale, concat, take, transpose,
-cosine_sim, cosine_logits, softmax_logits, neg_log_prob, abs, sum, mean. No
-broadcasting beyond scalar-tensor; shapes are checked explicitly per
-primitive.
+Supported primitives: add, scale, concat, take, cosine_logits, neg_log_prob,
+abs, sum, mean. No broadcasting beyond scalar-tensor; shapes are checked
+explicitly per primitive. A fused block over constant weights, such as the
+frozen text tower, is one node built with ``record``; ``tests/reference.py``
+holds the finer primitives (matmul, mul, transpose, cosine_sim,
+softmax_logits) that the fused nodes are pinned to.
 
 The tape is module-global and single-threaded: one forward pass owns it
 until the next ``reset_tape``. Tensors with requires_grad=False never
@@ -116,17 +118,12 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
-    # Same shape, or one side a scalar (shape ()).
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-
-
 def cosine_value(u: np.ndarray, v: np.ndarray) -> float:
     """Guarded cosine similarity on raw arrays.
 
-    Shared by the tape primitive and every non-tape caller (key selection,
-    evaluation) so the two routes agree bit-for-bit.
+    Used by every non-tape caller (key selection, evaluation); it computes
+    the same expression as ``cosine_logits``, so the two routes agree
+    bit-for-bit.
     """
     uf = u.reshape(-1)
     vf = v.reshape(-1)
@@ -139,34 +136,10 @@ def cosine_value(u: np.ndarray, v: np.ndarray) -> float:
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: 2-D x 2-D, 1-D x 2-D (vec-mat) or 2-D x 1-D (mat-vec)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.values.ndim not in (1, 2) or b.values.ndim not in (1, 2):
-        raise ShapeError(f"matmul: ranks must be 1 or 2, got {a.shape} x {b.shape}")
-    if a.values.ndim == 1 and b.values.ndim == 1:
-        raise ShapeError("matmul: use cosine_sim/mul for vector-vector products")
-    ka = a.shape[-1]
-    kb = b.shape[0]
-    if ka != kb:
-        raise ShapeError(f"matmul: contraction mismatch {a.shape} x {b.shape}")
-    av, bv = a.values, b.values
-    out = Tensor(av @ bv)
-
-    def grad_fn(g):
-        if av.ndim == 2 and bv.ndim == 2:
-            return g @ bv.T, av.T @ g
-        if av.ndim == 1:  # (k,) @ (k,n) -> (n,)
-            return bv @ g, np.outer(av, g)
-        # (m,k) @ (k,) -> (m,)
-        return np.outer(g, bv), av.T @ g
-
-    return record("matmul", (a, b), out, grad_fn)
-
-
 def add(a: Tensor, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_elementwise("add", a, b)
+    if a.shape != b.shape and a.shape != () and b.shape != ():  # one side may be a scalar
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.values + b.values)
     a_shape, b_shape = a.shape, b.shape
 
@@ -176,25 +149,6 @@ def add(a: Tensor, b) -> Tensor:
         return ga, gb
 
     return record("add", (a, b), out, grad_fn)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_elementwise("mul", a, b)
-    av, bv = a.values, b.values
-    out = Tensor(av * bv)
-    a_shape, b_shape = a.shape, b.shape
-
-    def grad_fn(g):
-        ga = g * bv
-        gb = g * av
-        if a_shape != out.shape:
-            ga = np.asarray(ga.sum())
-        if b_shape != out.shape:
-            gb = np.asarray(gb.sum())
-        return ga, gb
-
-    return record("mul", (a, b), out, grad_fn)
 
 
 def scale(a: Tensor, alpha: float) -> Tensor:
@@ -255,46 +209,12 @@ def take(a: Tensor, i: int) -> Tensor:
     return record("take", (a,), out, grad_fn)
 
 
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose: expects a matrix, got {a.shape}")
-    out = Tensor(a.values.T)
-
-    def grad_fn(g):
-        return (g.T,)
-
-    return record("transpose", (a,), out, grad_fn)
-
-
-def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two same-shape tensors, as a scalar."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"cosine_sim: shape mismatch {a.shape} vs {b.shape}")
-    av = a.values.reshape(-1)
-    bv = b.values.reshape(-1)
-    na = np.sqrt(np.dot(av, av) + NORM_EPS)
-    nb = np.sqrt(np.dot(bv, bv) + NORM_EPS)
-    s = np.dot(av, bv)
-    c = s / (na * nb)
-    out = Tensor(c)
-    a_shape = a.shape
-
-    def grad_fn(g):
-        gf = float(g)
-        ga = gf * (bv / (na * nb) - (c / (na * na)) * av)
-        gb = gf * (av / (na * nb) - (c / (nb * nb)) * bv)
-        return ga.reshape(a_shape), gb.reshape(a_shape)
-
-    return record("cosine_sim", (a, b), out, grad_fn)
-
-
 def cosine_logits(a: Tensor, bs, alpha: float) -> Tensor:
     """The vector of ``alpha * cos(a, b_k)`` over ``bs``, as one tape node.
 
-    Bit-identical to concatenating ``scale(cosine_sim(a, b_k), alpha)`` over k,
-    in values and gradients, without 2k + 1 nodes per call.
+    Bit-identical to concatenating ``scale(cosine_sim(a, b_k), alpha)`` over k
+    (the chain in ``tests/reference.py``), in values and gradients, without
+    2k + 1 nodes per call.
     """
     a = _as_tensor(a)
     bs = tuple(_as_tensor(b) for b in bs)
@@ -330,24 +250,6 @@ def cosine_logits(a: Tensor, bs, alpha: float) -> Tensor:
         return (ga, *gbs)
 
     return record("cosine_logits", (a, *bs), out, grad_fn)
-
-
-def softmax_logits(a: Tensor) -> Tensor:
-    """Numerically stable softmax along the last axis (vector or matrix rows)."""
-    a = _as_tensor(a)
-    if a.values.ndim not in (1, 2):
-        raise ShapeError(f"softmax_logits: rank must be 1 or 2, got {a.shape}")
-    av = a.values
-    shifted = av - av.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def grad_fn(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - dot) * y,)
-
-    return record("softmax_logits", (a,), out, grad_fn)
 
 
 def neg_log_prob(logits: Tensor, index: int) -> Tensor:

@@ -85,11 +85,6 @@ def init_bank(n: int, m: int, d: int, seed: int,
     return bank
 
 
-def score(z: np.ndarray, key: np.ndarray) -> float:
-    """Cosine distance 1 - cos(z, key), in [0, 2]."""
-    return float(scores(z, np.asarray(key, dtype=np.float64)[None])[0])
-
-
 def scores(z: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Cosine distances from z to each row of ``keys``, checked for finiteness once."""
     z = np.asarray(z, dtype=np.float64)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -54,6 +55,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _load_json(path: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -64,15 +71,22 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
 
 
+def _read_run_json(path: str):
+    """A JSON file of a run directory; a missing or broken one is a data error."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as e:
+        raise dio.DataError(f"{path}: unreadable run file ({e})") from None
+
+
 def _parse_train_config(raw: dict, seed_override=None) -> TrainConfig:
     try:
         cfg = TrainConfig.from_dict(raw.get("train", {}))
+        if seed_override is not None:
+            cfg = dataclasses.replace(cfg, seed=seed_override)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad train config: {e}") from None
-    if seed_override is not None:
-        d = cfg.as_dict()
-        d["seed"] = seed_override
-        cfg = TrainConfig.from_dict(d)
     return cfg
 
 
@@ -149,6 +163,7 @@ def cmd_train(args) -> int:
     for task in stream.tasks:
         if not task.test:
             raise dio.DataError(f"task {task.task_id} has no test samples")
+    data_hash = content_hash(canonical_json(raw.get("data", {})).encode())
 
     out = args.out
     os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
@@ -168,11 +183,21 @@ def cmd_train(args) -> int:
                 raise ConfigError(f"--resume: {name} was written in mode {state.mode!r}, "
                                   f"not {mode!r}")
             if ckpt_cfg != cfg:
-                raise ConfigError(f"--resume: {name} was written with config "
-                                  f"{ckpt_cfg.as_dict()}, not {cfg.as_dict()}")
-            matrix = AccuracyMatrix.from_dict(
-                _load_json(os.path.join(out, "accuracy_matrix.json")))
+                raise ConfigError(f"--resume: {name} was written with {ckpt_cfg}, not {cfg}")
+            if state.data_hash != data_hash:
+                raise ConfigError(f"--resume: {name} was written for another data section")
+            matrix_path = os.path.join(out, "accuracy_matrix.json")
+            try:
+                matrix = AccuracyMatrix.from_dict(_read_run_json(matrix_path))
+            except (KeyError, TypeError, ValueError) as e:
+                raise dio.DataError(f"{matrix_path}: malformed accuracy matrix ({e})") from None
+            if matrix.num_tasks != len(stream.tasks):
+                raise dio.DataError(f"{matrix_path}: {matrix.num_tasks} tasks, "
+                                    f"the stream has {len(stream.tasks)}")
             start_task = state.tasks_done
+    if state is None:
+        state = init_state(mode, cfg, stream)
+    state.data_hash = data_hash
 
     # The checkpoint is written last: it marks the task done only once the
     # task's report and matrix row are on disk.
@@ -216,7 +241,7 @@ def cmd_cdcl(args) -> int:
     reports = {}
     for mode in modes:
         report = run_cdcl(stream_a, stream_b, cfg, mode=mode)
-        reports[mode] = report.as_dict()
+        reports[mode] = dataclasses.asdict(report)
         rows.append([mode, 0, f"{report.acc_scratch_b:.2f}", f"{report.acc_a2b_on_b:.2f}",
                      f"{report.ft:+.2f}", f"{report.acc_scratch_a:.2f}",
                      f"{report.acc_a2b_on_a:.2f}", f"{report.bt:+.2f}",
@@ -339,7 +364,7 @@ def cmd_sweep(args) -> int:
         sub_args.config = tmp_cfg_path
         try:
             cmd_train(sub_args)
-            metrics = _load_json(os.path.join(sub_dir, "metrics.json"))
+            metrics = _read_run_json(os.path.join(sub_dir, "metrics.json"))
             rows.append([value, f"{metrics['final_average_accuracy']:.4f}", ""])
         except (ConfigError, ValueError) as e:
             rows.append([value, "", str(e)])
@@ -384,12 +409,12 @@ def cmd_report(args) -> int:
         entry = {"run": os.path.basename(os.path.normpath(run_dir))}
         metrics_path = os.path.join(run_dir, "metrics.json")
         if os.path.exists(metrics_path):
-            metrics = _load_json(metrics_path)
+            metrics = _read_run_json(metrics_path)
             entry.update({"mode": metrics.get("mode"), "seed": metrics.get("seed"),
                           "final_average_accuracy": metrics.get("final_average_accuracy")})
         cdcl_path = os.path.join(run_dir, "cdcl_report.json")
         if os.path.exists(cdcl_path):
-            cdcl = _load_json(cdcl_path)
+            cdcl = _read_run_json(cdcl_path)
             for mode, rep in cdcl.get("reports", {}).items():
                 entry[f"{mode}_ft"] = rep.get("ft")
                 entry[f"{mode}_bt"] = rep.get("bt")
@@ -420,7 +445,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--mode", choices=MODES)
-    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--seed", type=_seed)
     p_train.add_argument("--resume", action="store_true",
                          help="continue from the latest checkpoint in --out")
     p_train.set_defaults(fn=cmd_train)
@@ -429,11 +454,11 @@ def build_parser() -> _Parser:
     p_cdcl.add_argument("--config", required=True)
     p_cdcl.add_argument("--out", required=True)
     p_cdcl.add_argument("--mode", choices=MODES, help="restrict to one mode")
-    p_cdcl.add_argument("--seed", type=int)
+    p_cdcl.add_argument("--seed", type=_seed)
     p_cdcl.set_defaults(fn=cmd_cdcl)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--seed", type=_seed, default=0)
     p_grad.add_argument("--n", type=int, default=4)
     p_grad.add_argument("--m", type=int, default=3)
     p_grad.add_argument("--d", type=int, default=16)
@@ -449,7 +474,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--axis", required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--mode", choices=MODES)
-    p_sweep.add_argument("--seed", type=int)
+    p_sweep.add_argument("--seed", type=_seed)
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_report = sub.add_parser("report", help="merge run directories into a table")

@@ -25,7 +25,7 @@ import io
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -268,21 +268,19 @@ def read_embedding_file(path: str):
         raise TruncatedFileError(f"{path}: expected {expected} bytes, found {len(blob)}")
     if len(blob) > expected:
         raise DataError(f"{path}: {len(blob) - expected} trailing bytes after payload")
-    offset = 20
-    class_tokens = {}
-    for cid in range(num_classes):
-        row = np.frombuffer(blob, dtype="<f4", count=d, offset=offset).astype(np.float64)
-        class_tokens[cid] = row
-        offset += d * 4
-    samples = []
-    for _ in range(num_samples):
-        label, task_id = struct.unpack_from("<II", blob, offset)
-        offset += 8
-        if label >= num_classes:
-            raise LabelRangeError(f"{path}: record label {label} >= num_classes {num_classes}")
-        vec = np.frombuffer(blob, dtype="<f4", count=d, offset=offset).astype(np.float64)
-        offset += d * 4
-        samples.append(ImageSample(vector=vec, label=int(label), task_id=int(task_id)))
+    table = np.frombuffer(blob, dtype="<f4", count=num_classes * d, offset=20)
+    class_tokens = dict(enumerate(table.astype(np.float64).reshape(num_classes, d)))
+    if not num_samples:
+        return [], class_tokens, d
+    records = np.frombuffer(blob, count=num_samples, offset=20 + num_classes * d * 4,
+                            dtype=[("label", "<u4"), ("task", "<u4"), ("vec", "<f4", (d,))])
+    labels = records["label"]
+    if labels.max() >= num_classes:
+        label = labels[np.argmax(labels >= num_classes)]
+        raise LabelRangeError(f"{path}: record label {label} >= num_classes {num_classes}")
+    rows = zip(records["vec"].astype(np.float64), labels.tolist(), records["task"].tolist())
+    samples = [ImageSample(vector=vec, label=label, task_id=task_id)
+               for vec, label, task_id in rows]
     return samples, class_tokens, d
 
 
@@ -356,12 +354,13 @@ def _parse_sections(blob: bytes, path: str) -> dict:
     sections = {}
     offset = 8
     while offset < len(body):
-        (name_len,) = struct.unpack_from("<I", body, offset)
-        offset += 4
-        name = body[offset:offset + name_len].decode()
-        offset += name_len
-        (payload_len,) = struct.unpack_from("<Q", body, offset)
-        offset += 8
+        try:
+            (name_len,) = struct.unpack_from("<I", body, offset)
+            name = body[offset + 4:offset + 4 + name_len].decode()
+            (payload_len,) = struct.unpack_from("<Q", body, offset + 4 + name_len)
+        except (struct.error, UnicodeDecodeError) as e:
+            raise DataError(f"{path}: malformed section header at byte {offset}: {e}") from None
+        offset += 12 + name_len
         if offset + payload_len > len(body):
             raise TruncatedFileError(f"{path}: section {name} runs past end of file")
         sections[name] = body[offset:offset + payload_len]
@@ -373,6 +372,7 @@ def write_checkpoint(state, config, path: str) -> None:
     """Persist a learner state so a resumed run is bit-identical."""
     meta = {
         "mode": state.mode,
+        "data_hash": state.data_hash,
         "step_counter": state.step_counter,
         "tasks_done": state.tasks_done,
         "encoder": {
@@ -385,7 +385,7 @@ def write_checkpoint(state, config, path: str) -> None:
     }
     sections = {
         "meta": json.dumps(meta, sort_keys=True).encode(),
-        "config": json.dumps(config.as_dict(), sort_keys=True).encode(),
+        "config": json.dumps(asdict(config), sort_keys=True).encode(),
     }
     if state.bank is not None:
         sections["bank_keys"] = _pack_array(state.bank.keys.values)
@@ -447,5 +447,5 @@ def _state_from_sections(sections: dict):
         tokens[int(cid)] = arr
     state = LearnerState(mode=mode, bank=bank, encoders=encoders, class_tokens=tokens,
                          step_counter=meta["step_counter"], tasks_done=meta["tasks_done"],
-                         top_c=config.c)
+                         top_c=config.c, data_hash=meta["data_hash"])
     return state, config

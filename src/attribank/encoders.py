@@ -105,9 +105,6 @@ class FrozenEncoderPair:
         self.weights = EncoderWeights(theta=theta, psi=psi, seed=seed)
         for arr in (*theta.values(), *psi.values()):
             arr.setflags(write=False)
-        # Frozen psi as constant tensors: no gradient ever reaches them.
-        self._mix_t = ad.constant(psi["w_mix"])
-        self._proj_t = ad.constant(psi["w_proj"])
         self._inv_sqrt_d = 1.0 / math.sqrt(d)
 
     def checksum(self) -> str:
@@ -139,8 +136,9 @@ class FrozenEncoderPair:
         if s > self.max_tokens:
             raise ad.ShapeError(
                 f"encode_text: sequence length {s} exceeds positional table ({self.max_tokens})")
-        mix, proj, alpha = self._mix_t.values, self._proj_t.values, self._inv_sqrt_d
-        xp = x.values + self.weights.psi["pos"][:s]
+        psi, alpha = self.weights.psi, self._inv_sqrt_d
+        mix, proj = psi["w_mix"], psi["w_proj"]
+        xp = x.values + psi["pos"][:s]
         xp_t = np.ascontiguousarray(xp.T)
         xm = xp @ mix
         scores = (xm @ xp_t) * alpha

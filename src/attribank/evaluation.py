@@ -40,9 +40,6 @@ class AccuracyMatrix:
             raise ValueError(f"accuracy {value} outside [0, 100]")
         self.a[t, s] = value
 
-    def defined(self, t: int, s: int) -> bool:
-        return s <= t and not np.isnan(self.a[t, s])
-
     def to_dict(self) -> dict:
         return {"task_labels": self.task_labels,
                 "a": [[None if np.isnan(v) else v for v in row] for row in self.a]}
@@ -87,11 +84,6 @@ class CdclReport:
     def __post_init__(self):
         self.ft = self.acc_a2b_on_b - self.acc_scratch_b
         self.bt = self.acc_a2b_on_a - self.acc_scratch_a
-
-    def as_dict(self) -> dict:
-        return {"acc_scratch_b": self.acc_scratch_b, "acc_a2b_on_b": self.acc_a2b_on_b,
-                "acc_scratch_a": self.acc_scratch_a, "acc_a2b_on_a": self.acc_a2b_on_a,
-                "acc_joint": self.acc_joint, "ft": self.ft, "bt": self.bt}
 
 
 def evaluate(state, test_set, candidate_classes) -> float:

@@ -1,4 +1,4 @@
-"""Task-sequential training: SGD with cosine-decayed learning rate.
+"""Task-sequential training: SGD, its learning rate on one cosine arc per task.
 
 There is one learner, a frozen encoder pair plus a (key, prompt) bank, and
 the modes are presets of it (``preset``):
@@ -40,10 +40,9 @@ _PRESETS = {"shared_prompt": {"n": 1, "c": 1, "lambda_k": 0.0}}
 class SequenceError(RuntimeError):
     """A task failed mid-sequence; rows for completed tasks are retained."""
 
-    def __init__(self, message, matrix, failed_task):
+    def __init__(self, message, matrix):
         super().__init__(message)
         self.matrix = matrix
-        self.failed_task = failed_task
 
 
 @dataclass
@@ -60,7 +59,6 @@ class TrainConfig:
     tau: float = 0.01
     distance: DistanceVariant = field(default_factory=DistanceVariant)
     seed: int = 0
-    schedule: str = "per_task"  # or "global": one cosine arc over the whole stream
 
     def __post_init__(self):
         if isinstance(self.distance, str):
@@ -79,21 +77,8 @@ class TrainConfig:
             raise ValueError("loss weights must be non-negative")
         if self.lr0 < 0 or self.weight_decay < 0:
             raise ValueError("lr0 and weight_decay must be non-negative")
-        if self.schedule not in ("per_task", "global"):
-            raise ValueError(f"schedule must be per_task or global, got {self.schedule!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-    def as_dict(self) -> dict:
-        return {
-            "epochs_per_task": self.epochs_per_task, "batch_size": self.batch_size,
-            "lr0": self.lr0, "weight_decay": self.weight_decay,
-            "lambda_k": self.lambda_k, "lambda_p": self.lambda_p,
-            "c": self.c, "n": self.n, "m": self.m, "tau": self.tau,
-            "distance": {"kind": self.distance.kind,
-                         "triplet_margin": self.distance.triplet_margin},
-            "seed": self.seed, "schedule": self.schedule,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -124,8 +109,7 @@ class LearnerState:
     tasks_done: int = 0
     top_c: int = 1
     selection_counts: np.ndarray | None = None
-    # set by run_sequence when schedule == "global"
-    global_total_steps: int | None = None
+    data_hash: str = ""  # of the data config trained on; --resume compares it
     _token_seqs: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -289,8 +273,7 @@ def train_step(state: LearnerState, batch, config: TrainConfig,
 
 
 def train_task(state: LearnerState, task, config: TrainConfig,
-               class_tokens: dict | None = None,
-               global_step_offset: int = 0) -> dict:
+               class_tokens: dict | None = None) -> dict:
     """Run epochs_per_task seeded passes over one task; returns a task report."""
     if not task.train:
         raise ValueError(f"task {task.task_id}: empty training set")
@@ -310,12 +293,6 @@ def train_task(state: LearnerState, task, config: TrainConfig,
     n_samples = len(task.train)
     steps_per_epoch = math.ceil(n_samples / config.batch_size)
     task_total = config.epochs_per_task * steps_per_epoch
-    if config.schedule == "global" and state.global_total_steps:
-        span = state.global_total_steps
-        offset = global_step_offset
-    else:
-        span = task_total
-        offset = 0
 
     epoch_losses = []
     lr_trace = []
@@ -326,7 +303,7 @@ def train_task(state: LearnerState, task, config: TrainConfig,
         for b in range(steps_per_epoch):
             idx = order[b * config.batch_size:(b + 1) * config.batch_size]
             batch = [task.train[i] for i in idx]
-            lr = lr_at(offset + step_in_task, span, config.lr0)
+            lr = lr_at(step_in_task, task_total, config.lr0)
             lr_trace.append(lr)
             parts = train_step(state, batch, config, lr)
             sums += [parts.l_m, parts.l_k, parts.l_p, parts.total]
@@ -357,25 +334,16 @@ def run_sequence(stream, config: TrainConfig, eval_hooks=(), state: LearnerState
         matrix = AccuracyMatrix.empty([f"task{t.task_id}" for t in tasks])
     checksum_before = state.encoders.checksum()
 
-    if config.schedule == "global":
-        state.global_total_steps = sum(
-            config.epochs_per_task * math.ceil(len(t.train) / config.batch_size)
-            for t in tasks)
-    step_offset = sum(config.epochs_per_task * math.ceil(len(t.train) / config.batch_size)
-                      for t in tasks[:start_task])
-
     task_reports = []
     for t in range(start_task, len(tasks)):
         task = tasks[t]
         try:
-            report = train_task(state, task, config, class_tokens=stream.class_tokens,
-                                global_step_offset=step_offset)
-            step_offset += report["steps"]
+            report = train_task(state, task, config, class_tokens=stream.class_tokens)
             candidates = state.seen_classes()
             for s in range(t + 1):
                 matrix.set(t, s, evaluate(state, tasks[s].test, candidates))
         except Exception as e:
-            raise SequenceError(f"task {task.task_id} failed: {e}", matrix, task.task_id) from e
+            raise SequenceError(f"task {task.task_id} failed: {e}", matrix) from e
         task_reports.append(report)
         for hook in eval_hooks:
             hook(state, t, matrix, report)

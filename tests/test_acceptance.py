@@ -5,6 +5,7 @@ or `-v` for pytest's own pass/fail report. The synthetic benchmark criteria
 (6-8) train full models and dominate the runtime.
 """
 
+import dataclasses
 import json
 import time
 
@@ -280,7 +281,7 @@ def test_criterion_8_prompt_diversity_mechanism():
     details = []
     for seed in BENCH_SEEDS:
         stream = dio.generate_synthetic(bench_spec(seed))
-        base = bench_config(seed).as_dict()
+        base = dataclasses.asdict(bench_config(seed))
         base["lambda_p"] = 0.3
         _, with_lp = run_sequence(stream, TrainConfig.from_dict(base), mode="attriclip")
         base["lambda_p"] = 0.0

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attribank import autodiff as ad
-from attribank.bank import compose_text_input, init_bank, score, select_top_c
+from attribank.bank import compose_text_input, init_bank, select_top_c
 from attribank.encoders import TokenSequence
 
 from conftest import rng
+from reference import score
 
 
 def np_cosine(u, v):

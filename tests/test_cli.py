@@ -130,7 +130,7 @@ def test_resume_after_crash_between_run_dir_writes(tmp_path, monkeypatch):
     assert (full / "metrics.json").read_bytes() == (partial / "metrics.json").read_bytes()
 
 
-@pytest.mark.parametrize("change", ["config", "mode"])
+@pytest.mark.parametrize("change", ["config", "mode", "data"])
 def test_resume_refuses_changed_config_or_mode(tmp_path, capsys, change):
     out = str(tmp_path / "run")
     assert cli.main(["train", "--config", write_config(tmp_path), "--out", out]) == 0
@@ -138,11 +138,41 @@ def test_resume_refuses_changed_config_or_mode(tmp_path, capsys, change):
     if change == "config":
         argv = ["--config", write_config(tmp_path, train={"n": 4, "m": 2, "c": 2,
                 "epochs_per_task": 1, "batch_size": 4, "tau": 0.3, "seed": 1})]
-    else:
+    elif change == "mode":
         argv = ["--config", write_config(tmp_path), "--mode", "shared_prompt"]
+    else:
+        data = json.loads((tmp_path / "config.json").read_text())["data"]
+        data["synthetic"]["seed"] = 7
+        argv = ["--config", write_config(tmp_path, data=data)]
     capsys.readouterr()
     assert cli.main(["train", *argv, "--out", out, "--resume"]) == 1
     assert "--resume" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["missing", "not json", "not a matrix"])
+def test_resume_with_damaged_accuracy_matrix_exits_2(tmp_path, capsys, damage):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    matrix = out / "accuracy_matrix.json"
+    if damage == "missing":
+        matrix.unlink()
+    else:
+        matrix.write_text("{nope" if damage == "not json" else '{"a": 1}')
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg, "--out", str(out), "--resume"]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "cdcl", "sweep", "gradcheck"])
+def test_negative_seed_exits_1(tmp_path, capsys, command):
+    out = ["--out", str(tmp_path / "out")]
+    argv = {"train": ["--config", write_config(tmp_path), *out],
+            "cdcl": ["--config", cdcl_config(tmp_path), *out],
+            "sweep": ["--config", write_config(tmp_path), *out, "--axis", "C", "--values", "2"],
+            "gradcheck": []}[command]
+    assert cli.main([command, *argv, "--seed", "-1"]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def _write_atrb_pair(tmp_path, d, train_records):

@@ -1,10 +1,14 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attribank import data_io as dio
 from attribank.encoders import ImageSample
+from attribank.trainer import TrainConfig, init_state, train_task
 
 from conftest import rng
 
@@ -232,3 +236,86 @@ def test_write_embedding_file_validates_labels(tmp_path):
     samples = [ImageSample(vector=np.zeros(d), label=5, task_id=0)]
     with pytest.raises(dio.LabelRangeError):
         dio.write_embedding_file(str(tmp_path / "x.atrb"), samples, {0: np.zeros(d)}, d)
+
+
+def _with_checksum(body: bytes) -> bytes:
+    return body + hashlib.sha256(body).digest()[:8]
+
+
+def _parses_or_data_error(reader, blob: bytes, path) -> None:
+    path.write_bytes(blob)
+    try:
+        reader(str(path))
+    except dio.DataError:
+        pass
+
+
+@pytest.mark.parametrize("tail", [b"\x01\x00", b"\x01\x00\x00\x00\xff" + bytes(8)],
+                         ids=["header cut short", "name not UTF-8"])
+def test_checkpoint_malformed_section_header_is_data_error(tmp_path, tail):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_with_checksum(b"ATCK" + struct.pack("<I", dio.CKPT_VERSION) + tail))
+    with pytest.raises(dio.DataError, match="malformed section header"):
+        dio.read_checkpoint(str(path))
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A trained one-task checkpoint, an ATRB file, and a path for the mutated files."""
+    root = tmp_path_factory.mktemp("fuzz")
+    stream = dio.generate_synthetic(small_spec(num_tasks=1, samples_per_class=2, feature_dim=8))
+    cfg = TrainConfig(n=3, m=2, c=2, epochs_per_task=1, batch_size=2, seed=1)
+    state = init_state("attriclip", cfg, stream)
+    train_task(state, stream.tasks[0], cfg, class_tokens=stream.class_tokens)
+    dio.write_checkpoint(state, cfg, str(root / "valid.ckpt"))
+    dio.write_embedding_file(str(root / "valid.atrb"), stream.tasks[0].train,
+                             stream.class_tokens, 8)
+    return ((root / "valid.ckpt").read_bytes(), (root / "valid.atrb").read_bytes(),
+            root / "mutant")
+
+
+# One edit of a file: overwrite a byte, insert a byte, or cut the file short.
+_EDIT = st.tuples(st.sampled_from(["set", "insert", "cut"]), st.floats(0, 1),
+                  st.integers(0, 255))
+
+
+def _mutate(blob: bytes, edits) -> bytes:
+    for kind, where, byte in edits:
+        i = min(int(where * len(blob)), max(len(blob) - 1, 0))
+        if kind == "set":
+            blob = blob[:i] + bytes([byte]) + blob[i + 1:]
+        elif kind == "insert":
+            blob = blob[:i] + bytes([byte]) + blob[i:]
+        else:
+            blob = blob[:i]
+    return blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.binary(max_size=128), checksummed=st.booleans())
+def test_checkpoint_parser_any_bytes_parse_or_data_error(valid_files, blob, checksummed):
+    if checksummed:  # past the checksum, so the section parser sees the bytes
+        blob = _with_checksum(b"ATCK" + struct.pack("<I", dio.CKPT_VERSION) + blob)
+    _parses_or_data_error(dio.read_checkpoint, blob, valid_files[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(_EDIT, min_size=1, max_size=3))
+def test_checkpoint_mutations_parse_or_data_error(valid_files, edits):
+    body = _mutate(valid_files[0][:-8], edits)
+    _parses_or_data_error(dio.read_checkpoint, _with_checksum(body), valid_files[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.binary(max_size=64), prefixed=st.booleans())
+def test_atrb_parser_any_bytes_parse_or_data_error(valid_files, blob, prefixed):
+    if prefixed:  # past the magic and version, so the sizes come from the bytes
+        blob = b"ATRB" + struct.pack("<I", dio.EMBED_VERSION) + blob
+    _parses_or_data_error(dio.read_embedding_file, blob, valid_files[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(_EDIT, min_size=1, max_size=3))
+def test_atrb_mutations_parse_or_data_error(valid_files, edits):
+    _parses_or_data_error(dio.read_embedding_file, _mutate(valid_files[1], edits),
+                          valid_files[2])
