@@ -118,20 +118,6 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def cosine_value(u: np.ndarray, v: np.ndarray) -> float:
-    """Guarded cosine similarity on raw arrays.
-
-    Used by every non-tape caller (key selection, evaluation); it computes
-    the same expression as ``cosine_logits``, so the two routes agree
-    bit-for-bit.
-    """
-    uf = u.reshape(-1)
-    vf = v.reshape(-1)
-    nu = np.sqrt(np.dot(uf, uf) + NORM_EPS)
-    nv = np.sqrt(np.dot(vf, vf) + NORM_EPS)
-    return float(np.dot(uf, vf) / (nu * nv))
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -214,7 +200,9 @@ def cosine_logits(a: Tensor, bs, alpha: float) -> Tensor:
 
     Bit-identical to concatenating ``scale(cosine_sim(a, b_k), alpha)`` over k
     (the chain in ``tests/reference.py``), in values and gradients, without
-    2k + 1 nodes per call.
+    2k + 1 nodes per call. It is the package's one cosine: on constants it
+    records nothing, so key selection and evaluation read its ``values``
+    with ``alpha = 1``.
     """
     a = _as_tensor(a)
     bs = tuple(_as_tensor(b) for b in bs)

@@ -55,10 +55,11 @@ class AttributeBank:
 
 @dataclass
 class Selection:
-    """Top-C match for one image: bank indices ordered by ascending distance."""
+    """Top-C match for one image: bank indices ordered by ascending distance,
+    and ``negative``, the closest unselected key's distance (None if there is none)."""
 
     indices: list
-    distances: list
+    negative: float | None = None
 
     def __post_init__(self):
         if len(self.indices) != len(set(self.indices)):
@@ -87,36 +88,36 @@ def init_bank(n: int, m: int, d: int, seed: int,
 
 def scores(z: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Cosine distances from z to each row of ``keys``, checked for finiteness once."""
-    z = np.asarray(z, dtype=np.float64)
     if not (np.isfinite(z).all() and np.isfinite(keys).all()):
         raise ad.NumericError("score: non-finite input")
-    return np.array([1.0 - ad.cosine_value(z, k) for k in keys])
+    return 1.0 - ad.cosine_logits(z, keys, 1.0).values
 
 
 def select_top_c(z: np.ndarray, bank: AttributeBank, c: int) -> Selection:
     """The c keys with smallest cosine distance to z; ties break on low index.
 
+    The key after them in the same stable sort is the selection's negative.
     Runs on raw values, outside the tape: selection is a hard, non-differentiable
     routing decision.
     """
     if not 1 <= c <= bank.n:
         raise ValueError(f"select_top_c: c={c} out of range for bank of {bank.n}")
     distances = scores(z, bank.keys.values)
-    order = np.argsort(distances, kind="stable")[:c]
-    return Selection(indices=[int(i) for i in order],
-                     distances=[float(distances[i]) for i in order])
+    order = np.argsort(distances, kind="stable")
+    return Selection(indices=[int(i) for i in order[:c]],
+                     negative=float(distances[order[c]]) if c < bank.n else None)
 
 
 def route(z: np.ndarray, bank: AttributeBank | None, c: int) -> Selection | None:
     """The bank entries an image is routed to: its top-C keys.
 
     A one-entry bank routes every image to entry 0 without scoring it (the
-    selection then carries no distances); with no bank there is no routing.
+    selection then carries no negative); with no bank there is no routing.
     """
     if bank is None:
         return None
     if bank.n == 1:
-        return Selection(indices=[0], distances=[])
+        return Selection(indices=[0])
     return select_top_c(z, bank, c)
 
 

@@ -31,6 +31,7 @@ import dataclasses
 import io
 import json
 import os
+import pathlib
 import re
 import sys
 from datetime import datetime, timezone
@@ -120,6 +121,14 @@ def _build_stream(data_cfg: dict):
     raise ConfigError(f"unknown data kind {kind!r}")
 
 
+def _data_hash(data_cfg: dict) -> str:
+    """Hash of the data section and, for ``kind: file``, of the files' bytes."""
+    paths = [data_cfg.get(k) for k in ("train_path", "test_path")
+             if data_cfg.get("kind") == "file" and data_cfg.get(k)]
+    return content_hash(canonical_json(data_cfg).encode(),
+                        *(content_hash(pathlib.Path(p).read_bytes()) for p in paths))
+
+
 def _build_stream_pair(data_cfg: dict):
     kind = data_cfg.get("kind")
     if kind == "synthetic_pair":
@@ -163,7 +172,7 @@ def cmd_train(args) -> int:
     for task in stream.tasks:
         if not task.test:
             raise dio.DataError(f"task {task.task_id} has no test samples")
-    data_hash = content_hash(canonical_json(raw.get("data", {})).encode())
+    data_hash = _data_hash(raw.get("data", {}))
 
     out = args.out
     os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
@@ -263,12 +272,12 @@ def cmd_cdcl(args) -> int:
 
 
 def _pinned_objective(state, samples, cfg, corrupt: float):
-    """The training objective of ``state`` with the routing pinned at its current point."""
-    routing = forward(state, samples, cfg)[3]
+    """The training objective of ``state`` with the selections pinned at its current point."""
+    selections = forward(state, samples, cfg)[3]
     params = state.trainable_parameters()
 
     def loss(_):
-        l_m, l_k, l_p, _ = forward(state, samples, cfg, routing)
+        l_m, l_k, l_p, _ = forward(state, samples, cfg, selections)
         total = total_loss(l_m, l_k, l_p, cfg.lambda_k, cfg.lambda_p)
         if corrupt:  # a constant to the tape, so no analytic gradient sees its slope
             total = ad.add(total, corrupt * sum(float(p.values.sum()) for p in params))
@@ -281,12 +290,12 @@ def gradient_check_report(seed: int, n: int, m: int, d: int, k: int, batch: int,
                           distance: str = "cosine", corrupt: float = 0.0) -> dict:
     """Max relative gradient error per parameter group, at small sizes.
 
-    Every group is checked through ``trainer.forward`` with the routing
+    Every group is checked through ``trainer.forward`` with the selections
     pinned at the base point: the hard top-C choice and the triplet negative
-    stay fixed, so central differences measure the same locally smooth
-    branch the analytic (stop-gradient) gradients live on. ``corrupt`` adds
-    that much times the sum of all parameters to the loss, out of the tape's
-    sight, so every check must fail.
+    it carries stay fixed, so central differences measure the same locally
+    smooth branch the analytic (stop-gradient) gradients live on.
+    ``corrupt`` adds that much times the sum of all parameters to the loss,
+    out of the tape's sight, so every check must fail.
     """
     spec = dio.SyntheticSpec(num_latent_attributes=max(4, k), attributes_per_class=2,
                              num_tasks=1, classes_per_task=k, samples_per_class=max(2, batch),

@@ -86,16 +86,10 @@ class TaskStream:
     backend: str = "toy"
 
     def all_class_ids(self) -> list:
-        ids = []
-        for task in self.tasks:
-            ids.extend(task.class_ids)
-        return ids
+        return [cid for task in self.tasks for cid in task.class_ids]
 
     def all_test_samples(self) -> list:
-        out = []
-        for task in self.tasks:
-            out.extend(task.test)
-        return out
+        return [sample for task in self.tasks for sample in task.test]
 
 
 @dataclass

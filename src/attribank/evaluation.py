@@ -86,7 +86,7 @@ class CdclReport:
         self.bt = self.acc_a2b_on_a - self.acc_scratch_a
 
 
-def evaluate(state, test_set, candidate_classes) -> float:
+def evaluate(state, test_set, candidate_classes, cache: dict | None = None) -> float:
     """Accuracy percent over test_set with predictions restricted to candidates.
 
     Per sample: encode the image, route it through the bank, embed every
@@ -94,6 +94,9 @@ def evaluate(state, test_set, candidate_classes) -> float:
     highest cosine similarity. Candidates are sorted internally, so the
     result does not depend on their given order and ties break toward the
     lowest class id. All tensors are constants: nothing lands on the tape.
+
+    Calls on one bank state may share ``cache`` (``run_sequence`` passes one per
+    round); it keys class embeddings by candidate list, never mixing two lists.
     """
     candidates = sorted(set(int(c) for c in candidate_classes))
     if not candidates:
@@ -108,13 +111,12 @@ def evaluate(state, test_set, candidate_classes) -> float:
     enc = state.encoders
     bank = state.bank.frozen_view() if state.bank is not None else None
     class_seqs = [state.class_token_seq(cid) for cid in candidates]
-    cache: dict = {}
+    table = ({} if cache is None else cache).setdefault(tuple(candidates), {})
     hits = 0
     for sample in test_set:
         z = enc.encode_image(sample)
-        embs = class_text_embeddings(enc, bank, route(z, bank, state.top_c), class_seqs, cache)
-        scores = np.array([ad.cosine_value(z, w.values) for w in embs])
-        hits += candidates[int(np.argmax(scores))] == sample.label
+        embs = class_text_embeddings(enc, bank, route(z, bank, state.top_c), class_seqs, table)
+        hits += candidates[int(np.argmax(ad.cosine_logits(z, embs, 1.0).values))] == sample.label
     return 100.0 * hits / len(test_set)
 
 

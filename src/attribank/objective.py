@@ -5,7 +5,8 @@ Three components combine into the training objective:
   classification     L_m = mean over batch of -log p(label), with
                      p_i proportional to exp(cos(z, w_i) / tau)
   key matching       L_k = sum over selected keys of a distance to z
-                     (cosine distance, normalized MSE, or triplet)
+                     (cosine distance, normalized MSE, or triplet against
+                     the selection's detached negative)
   prompt diversity   L_p = mean absolute pairwise cosine similarity of the
                      standalone prompt embeddings, over all bank entries
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .bank import AttributeBank, Selection, scores
+from .bank import AttributeBank, Selection
 from .encoders import TokenSequence
 
 _VARIANTS = ("cosine", "mse", "triplet")
@@ -48,22 +49,6 @@ class LossBreakdown:
     l_k: float
     l_p: float
     total: float
-
-
-def predict_probabilities(z: np.ndarray, text_embeddings, tau: float) -> np.ndarray:
-    """Softmax over cosine similarities at temperature tau (max-shifted)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    z = np.asarray(z, dtype=np.float64)
-    embs = [np.asarray(w, dtype=np.float64) for w in text_embeddings]
-    if not embs:
-        raise ValueError("predict_probabilities: need at least one class embedding")
-    if not np.isfinite(z).all() or any(not np.isfinite(w).all() for w in embs):
-        raise ad.NumericError("predict_probabilities: non-finite embedding")
-    logits = np.array([ad.cosine_value(z, w) for w in embs]) / tau
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
 
 
 def classification_loss(batch, tau: float) -> ad.Tensor:
@@ -93,30 +78,18 @@ def _relu(t: ad.Tensor) -> ad.Tensor:
     return ad.scale(ad.add(t, ad.absolute(t)), 0.5)
 
 
-def triplet_negative(z: np.ndarray, sel: Selection, bank: AttributeBank) -> float:
-    """Distance from z to its closest unselected key: the detached triplet negative."""
-    if len(sel.indices) >= bank.n:
-        raise ValueError("triplet variant needs at least one unselected key as negative")
-    selected = set(sel.indices)
-    distances = scores(z, bank.keys.values)
-    return min(float(distances[i]) for i in range(bank.n) if i not in selected)
-
-
 def key_matching_loss(z: np.ndarray, sel: Selection, bank: AttributeBank,
-                      variant: DistanceVariant,
-                      frozen_negative: float | None = None) -> ad.Tensor:
+                      variant: DistanceVariant) -> ad.Tensor:
     """Distance from z to each selected key, summed; gradients reach only
     the selected keys (z is a constant, negatives are detached).
 
-    ``frozen_negative`` pins the triplet negative's distance to a value
-    computed earlier (``trainer.forward`` takes it from the batch routing),
-    so central differences measure the same detached branch the optimizer
-    follows.
+    The triplet negative is ``sel.negative``, fixed when the selection was
+    made: a pinned selection keeps it while the keys move, so central
+    differences measure the detached branch the optimizer follows.
     """
+    if variant.kind == "triplet" and sel.negative is None:
+        raise ValueError("triplet variant needs at least one unselected key as negative")
     zc = ad.constant(np.asarray(z, dtype=np.float64))
-    if variant.kind == "triplet":
-        neg_dist = (triplet_negative(zc.values, sel, bank) if frozen_negative is None
-                    else frozen_negative)
     keys = [ad.take(bank.keys, i) for i in sel.indices]
     if variant.kind == "mse":
         # ||z/|z| - k/|k|||^2 == 2 - 2 cos(z, k); both vectors unit-normalized
@@ -124,7 +97,7 @@ def key_matching_loss(z: np.ndarray, sel: Selection, bank: AttributeBank,
     else:
         terms = ad.add(ad.cosine_logits(zc, keys, -1.0), 1.0)
         if variant.kind == "triplet":
-            terms = _relu(ad.add(terms, variant.triplet_margin - neg_dist))
+            terms = _relu(ad.add(terms, variant.triplet_margin - sel.negative))
     return ad.sum_all(terms)
 
 

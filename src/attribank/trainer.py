@@ -25,8 +25,7 @@ from . import autodiff as ad
 from .bank import KEY_NORM_FLOOR, AttributeBank, class_text_embeddings, init_bank, route
 from .encoders import FrozenEncoderPair, TokenSequence, class_token
 from .objective import (DistanceVariant, LossBreakdown, breakdown, classification_loss,
-                        key_matching_loss, prompt_orthogonality_loss, total_loss,
-                        triplet_negative)
+                        key_matching_loss, prompt_orthogonality_loss, total_loss)
 from .util import keyed_rng
 
 _CTX_SHARED_PROMPT, _CTX_SHUFFLE = 41, 42
@@ -109,7 +108,7 @@ class LearnerState:
     tasks_done: int = 0
     top_c: int = 1
     selection_counts: np.ndarray | None = None
-    data_hash: str = ""  # of the data config trained on; --resume compares it
+    data_hash: str = ""  # of the data section (and files) trained on; --resume compares it
     _token_seqs: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -185,23 +184,14 @@ def _diagnostic_dump(batch, encoders) -> str:
         for i, sample in enumerate(batch))
 
 
-@dataclass
-class Routing:
-    """Per-image routing of one batch: its selection and, for the triplet
-    distance with lambda_k > 0, its detached negative distance (else None)."""
+def forward(state: LearnerState, batch, config: TrainConfig, selections=None):
+    """The learner's forward pass on the tape; returns (L_m, L_k, L_p, selections).
 
-    selections: list
-    negatives: list
-
-
-def forward(state: LearnerState, batch, config: TrainConfig,
-            routing: Routing | None = None):
-    """The learner's forward pass on the tape; returns (L_m, L_k, L_p, routing).
-
-    Without ``routing`` each image is routed by the current keys; passing
-    the routing of an earlier call pins the selections and triplet
-    negatives, so gradient checks stay on one smooth branch. A loss term
-    whose weight is 0 is not built and reads 0.
+    ``selections`` holds one ``Selection`` per image (None without a bank).
+    Without it each image is routed by the current keys; passing the
+    selections of an earlier call pins them, triplet negatives included, so
+    gradient checks stay on one smooth branch. A loss term whose weight is
+    0 is not built and reads 0.
     """
     if not batch:
         raise ValueError("forward: empty batch")
@@ -215,11 +205,8 @@ def forward(state: LearnerState, batch, config: TrainConfig,
             raise ValueError(f"sample label {sample.label} not registered")
     zs = [enc.encode_image(sample) for sample in batch]
     with_lk = config.lambda_k > 0
-    if routing is None:
-        sels = [route(z, bank, config.c) for z in zs]
-        with_negatives = with_lk and config.distance.kind == "triplet"
-        routing = Routing(sels, [triplet_negative(z, sel, bank) if with_negatives else None
-                                 for z, sel in zip(zs, sels)])
+    if selections is None:
+        selections = [route(z, bank, config.c) for z in zs]
 
     # Text embeddings repeat across images that share a selection; cache them
     # for the duration of this forward pass.
@@ -227,18 +214,17 @@ def forward(state: LearnerState, batch, config: TrainConfig,
     class_seqs = [state.class_token_seq(cid) for cid in candidates]
     entries = []
     lk_terms = []
-    for sample, z, sel, neg in zip(batch, zs, routing.selections, routing.negatives):
+    for sample, z, sel in zip(batch, zs, selections):
         embs = class_text_embeddings(enc, bank, sel, class_seqs, text_cache)
         entries.append((z, label_index[sample.label], embs))
         if with_lk:
-            lk_terms.append(key_matching_loss(z, sel, bank, config.distance,
-                                              frozen_negative=neg))
+            lk_terms.append(key_matching_loss(z, sel, bank, config.distance))
 
     l_m = classification_loss(entries, config.tau)
     l_k = (ad.scale(ad.sum_all(ad.concat(lk_terms)), 1.0 / len(batch)) if with_lk
            else ad.constant(0.0))
     l_p = prompt_orthogonality_loss(bank, enc) if config.lambda_p > 0 else ad.constant(0.0)
-    return l_m, l_k, l_p, routing
+    return l_m, l_k, l_p, selections
 
 
 def train_step(state: LearnerState, batch, config: TrainConfig,
@@ -254,8 +240,8 @@ def train_step(state: LearnerState, batch, config: TrainConfig,
     ad.reset_tape()
     for p in params:
         p.grad = None
-    l_m, l_k, l_p, routing = forward(state, batch, config)
-    for sel in routing.selections:
+    l_m, l_k, l_p, selections = forward(state, batch, config)
+    for sel in selections:
         state.selection_counts[sel.indices] += 1
     total = total_loss(l_m, l_k, l_p, config.lambda_k, config.lambda_p)
     try:
@@ -334,21 +320,19 @@ def run_sequence(stream, config: TrainConfig, eval_hooks=(), state: LearnerState
         matrix = AccuracyMatrix.empty([f"task{t.task_id}" for t in tasks])
     checksum_before = state.encoders.checksum()
 
-    task_reports = []
     for t in range(start_task, len(tasks)):
         task = tasks[t]
         try:
             report = train_task(state, task, config, class_tokens=stream.class_tokens)
             candidates = state.seen_classes()
+            cache: dict = {}  # one round, one bank state: every call shares its encodes
             for s in range(t + 1):
-                matrix.set(t, s, evaluate(state, tasks[s].test, candidates))
+                matrix.set(t, s, evaluate(state, tasks[s].test, candidates, cache=cache))
         except Exception as e:
             raise SequenceError(f"task {task.task_id} failed: {e}", matrix) from e
-        task_reports.append(report)
         for hook in eval_hooks:
             hook(state, t, matrix, report)
 
     if state.encoders.checksum() != checksum_before:
         raise RuntimeError("frozen encoder weights changed during training")
-    matrix.task_reports = task_reports
     return matrix, state

@@ -4,7 +4,8 @@ The package computes the text tower and every cosine-logit vector as single
 fused tape nodes. These finer primitives rebuild the same arithmetic one
 operation per node; tests compare the fused nodes against them bit for bit
 and check each against central differences. ``score`` is the one-key form
-of ``bank.scores``.
+of ``bank.scores``, and ``predict_probabilities`` the softmax that
+``classification_loss`` takes the log of.
 """
 
 import numpy as np
@@ -112,3 +113,19 @@ def softmax_logits(a) -> ad.Tensor:
 def score(z: np.ndarray, key: np.ndarray) -> float:
     """Cosine distance 1 - cos(z, key), in [0, 2]."""
     return float(scores(z, np.asarray(key, dtype=np.float64)[None])[0])
+
+
+def predict_probabilities(z: np.ndarray, text_embeddings, tau: float) -> np.ndarray:
+    """Softmax over cosine similarities at temperature tau (max-shifted)."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    z = np.asarray(z, dtype=np.float64)
+    embs = [np.asarray(w, dtype=np.float64) for w in text_embeddings]
+    if not embs:
+        raise ValueError("predict_probabilities: need at least one class embedding")
+    if not np.isfinite(z).all() or any(not np.isfinite(w).all() for w in embs):
+        raise ad.NumericError("predict_probabilities: non-finite embedding")
+    logits = ad.cosine_logits(z, embs, 1.0).values / tau
+    shifted = logits - logits.max()
+    e = np.exp(shifted)
+    return e / e.sum()

@@ -19,10 +19,11 @@ from attribank.bank import init_bank, select_top_c
 from attribank.encoders import FrozenEncoderPair, TokenSequence
 from attribank.evaluation import AccuracyMatrix, average_accuracy, run_cdcl
 from attribank.objective import (DistanceVariant, classification_loss, key_matching_loss,
-                                 predict_probabilities, prompt_orthogonality_loss, total_loss)
+                                 prompt_orthogonality_loss, total_loss)
 from attribank.trainer import TrainConfig, forward, init_state, run_sequence, train_step
 
 from conftest import rng
+from reference import predict_probabilities
 
 # Bundled synthetic continual benchmark: 5 tasks x 4 classes, 12 latent
 # attributes (3 per class), 32 dims, 50 samples per class, seeds {1, 2, 3}.
@@ -142,25 +143,25 @@ def test_criterion_3_gradient_routing():
         batch = stream.tasks[0].train[:2]
 
         ad.reset_tape()
-        l_m, l_k, l_p, routing = forward(state, batch, cfg)
+        l_m, l_k, l_p, selections = forward(state, batch, cfg)
         ad.backward(total_loss(l_m, l_k, l_p, lam_k, lam_p))
         key_grads = state.bank.keys.grad.copy()
         prompt_grads = state.bank.prompts.grad.copy()
 
         ad.reset_tape()
-        _, l_k2, _, _ = forward(state, batch, cfg, routing)
+        _, l_k2, _, _ = forward(state, batch, cfg, selections)
         ad.backward(ad.scale(l_k2, lam_k))
         worst_key = max(worst_key, float(np.abs(key_grads - state.bank.keys.grad).max()))
 
         ad.reset_tape()
-        l_m3, _, l_p3, _ = forward(state, batch, cfg, routing)
+        l_m3, _, l_p3, _ = forward(state, batch, cfg, selections)
         ad.backward(ad.add(l_m3, ad.scale(l_p3, lam_p)))
         worst_prompt = max(worst_prompt,
                            float(np.abs(prompt_grads - state.bank.prompts.grad).max()))
 
         if lam_p == 0.0:
             selected = set()
-            for sel in routing.selections:
+            for sel in selections:
                 selected.update(sel.indices)
             for i, ref in enumerate(prompt_grads):
                 if i not in selected:

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attribank import autodiff as ad
-from attribank.bank import compose_text_input, init_bank, select_top_c
+from attribank.bank import compose_text_input, init_bank, route, scores, select_top_c
 from attribank.encoders import TokenSequence
 
 from conftest import rng
-from reference import score
+from reference import cosine_sim, score
 
 
 def np_cosine(u, v):
@@ -73,16 +73,18 @@ def test_select_full_bank_returns_sorted_distances():
     z = rng(2).standard_normal(8)
     sel = select_top_c(z, bank, 6)
     assert sorted(sel.indices) == list(range(6))
-    assert all(a <= b for a, b in zip(sel.distances, sel.distances[1:]))
+    dists = scores(z, bank.keys.values)[sel.indices]
+    assert all(a <= b for a, b in zip(dists, dists[1:]))
 
 
 def test_select_constructed_orthogonal_antipodal():
     bank = init_bank(3, 1, 2, seed=0)
     for i, row in enumerate([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]):
         bank.keys.values[i] = row
-    sel = select_top_c(np.array([1.0, 0.0]), bank, 2)
+    z = np.array([1.0, 0.0])
+    sel = select_top_c(z, bank, 2)
     assert sel.indices == [0, 1]
-    np.testing.assert_allclose(sel.distances, [0.0, 1.0], atol=1e-9)
+    np.testing.assert_allclose(scores(z, bank.keys.values)[sel.indices], [0.0, 1.0], atol=1e-9)
 
 
 def test_select_matches_full_sort_oracle_1000_trials():
@@ -99,7 +101,7 @@ def test_select_distances_match_score_recomputation():
     bank = init_bank(8, 1, 5, seed=3)
     z = rng(4).standard_normal(5)
     sel = select_top_c(z, bank, 4)
-    for i, d in zip(sel.indices, sel.distances):
+    for i, d in zip(sel.indices, scores(z, bank.keys.values)[sel.indices]):
         assert abs(d - score(z, bank.keys.values[i])) <= 1e-12
 
 
@@ -134,7 +136,49 @@ def test_selected_distances_dominate_unselected():
         sel = select_top_c(z, bank, 4)
         unselected = [score(z, bank.keys.values[i])
                       for i in range(9) if i not in sel.indices]
-        assert max(sel.distances) <= min(unselected) + 1e-15
+        assert max(scores(z, bank.keys.values)[sel.indices]) <= min(unselected) + 1e-15
+
+
+def test_scores_match_cosine_sim_chain_bit_for_bit():
+    for seed in range(20):
+        g = rng(seed)
+        keys = g.standard_normal((10, 6))
+        z = g.standard_normal(6)
+        chain = np.array([1.0 - cosine_sim(z, k).values for k in keys])
+        np.testing.assert_array_equal(scores(z, keys), chain)
+
+
+def test_select_negative_matches_brute_force_1000_banks():
+    for seed in range(1000):
+        n = 2 + seed % 9
+        c = 1 + seed % (n - 1)
+        bank = init_bank(n, 1, 6, seed=seed)
+        z = rng(seed).standard_normal(6)
+        sel = select_top_c(z, bank, c)
+        unselected = [i for i in range(n) if i not in sel.indices]
+        assert sel.negative == min(score(z, bank.keys.values[i]) for i in unselected), seed
+        oracle = min(1.0 - np_cosine(z, bank.keys.values[i]) for i in unselected)
+        assert abs(sel.negative - oracle) <= 1e-9, seed
+
+
+def test_select_negative_under_constructed_ties():
+    bank = init_bank(5, 1, 3, seed=0)
+    v = np.array([1.0, 2.0, -0.5])
+    bank.keys.values[:4] = v  # keys 0-3 at distance 0, key 4 farther
+    bank.keys.values[4] = -v
+    sel = select_top_c(v, bank, 2)
+    assert sel.indices == [0, 1]
+    assert sel.negative == scores(v, bank.keys.values)[2]
+    assert abs(sel.negative) < 1e-9
+    sel = select_top_c(v, bank, 4)
+    assert sel.indices == [0, 1, 2, 3]
+    assert abs(sel.negative - 2.0) < 1e-9
+
+
+def test_select_negative_is_none_when_every_key_is_selected():
+    bank = init_bank(4, 1, 3, seed=1)
+    assert select_top_c(np.ones(3), bank, 4).negative is None
+    assert route(np.ones(3), init_bank(1, 1, 3, seed=1), 1).negative is None
 
 
 def class_seq(d, seed=0):

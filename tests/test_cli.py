@@ -197,6 +197,30 @@ def test_atrb_train_file_without_records_exits_2(tmp_path, capsys):
     assert "no training records" in capsys.readouterr().err
 
 
+def test_resume_refuses_rewritten_data_files(tmp_path, capsys):
+    def write_files(seed):
+        stream = dio.generate_synthetic(dio.SyntheticSpec(
+            num_latent_attributes=6, attributes_per_class=2, num_tasks=3, classes_per_task=2,
+            samples_per_class=4, feature_dim=8, noise_sigma=0.05, seed=seed))
+        paths = {}
+        for split in ("train", "test"):
+            samples = [s for task in stream.tasks for s in getattr(task, split)]
+            paths[split] = str(tmp_path / f"{split}.atrb")
+            dio.write_embedding_file(paths[split], samples, stream.class_tokens, 8)
+        return paths
+
+    paths = write_files(2)
+    cfg = write_config(tmp_path, data={"kind": "file", "train_path": paths["train"],
+                                       "test_path": paths["test"]})
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--config", cfg, "--out", out]) == 0
+    os.remove(os.path.join(out, "checkpoints", "after_task_02.ckpt"))
+    write_files(7)  # same paths, same config, other records
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg, "--out", out, "--resume"]) == 1
+    assert "--resume" in capsys.readouterr().err
+
+
 def test_numeric_failure_inside_a_task_exits_3(tmp_path, capsys):
     stream = dio.generate_synthetic(dio.SyntheticSpec(
         num_latent_attributes=6, attributes_per_class=2, num_tasks=2, classes_per_task=2,

@@ -180,6 +180,23 @@ def test_evaluate_invariant_to_candidate_order():
     assert a == b
 
 
+def test_evaluate_round_with_shared_cache_matches_separate_calls():
+    stream = tiny_stream(tasks=3)
+    state = prepared_state(stream, tiny_config())
+    cands = state.seen_classes()
+    separate = [evaluate(state, task.test, cands) for task in stream.tasks]
+    cache = {}
+    assert [evaluate(state, task.test, cands, cache=cache) for task in stream.tasks] == separate
+
+    # Entries made for one candidate list never answer for another.
+    first, last = stream.tasks[0], stream.tasks[-1]
+    want = evaluate(state, first.test, first.class_ids)
+    assert evaluate(state, first.test, first.class_ids, cache=cache) == want
+    narrow = {}
+    evaluate(state, first.test, first.class_ids, cache=narrow)
+    assert evaluate(state, last.test, cands, cache=narrow) == separate[-1]
+
+
 def test_evaluate_unknown_class_rejected():
     stream = tiny_stream()
     state = prepared_state(stream, tiny_config())

@@ -5,10 +5,10 @@ from attribank import autodiff as ad
 from attribank.bank import init_bank, select_top_c
 from attribank.encoders import FrozenEncoderPair, TokenSequence
 from attribank.objective import (DistanceVariant, classification_loss, key_matching_loss,
-                                 predict_probabilities, prompt_orthogonality_loss,
-                                 total_loss, breakdown)
+                                 prompt_orthogonality_loss, total_loss, breakdown)
 
 from conftest import rng
+from reference import predict_probabilities
 
 D = 8
 

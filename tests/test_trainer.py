@@ -7,7 +7,7 @@ import pytest
 
 from attribank import autodiff as ad
 from attribank import data_io as dio
-from attribank.bank import select_top_c
+from attribank.bank import scores, select_top_c
 from attribank.encoders import ImageSample
 from attribank.objective import DistanceVariant
 from attribank.trainer import (SequenceError, TrainConfig, forward, init_state, lr_at,
@@ -310,6 +310,29 @@ def test_shared_prompt_gradient_matches_finite_differences():
     err = ad.finite_difference_check(lambda _: forward(state, batch, cfg)[0],
                                      state.bank.prompts, h=1e-5)
     assert err <= 1e-4
+
+
+def test_triplet_forward_with_pinned_selections_keeps_their_negative():
+    stream = tiny_stream(tasks=1, classes=2, dim=6)
+    cfg = tiny_config(n=6, c=2, lambda_p=0.0,
+                      distance=DistanceVariant("triplet", triplet_margin=5.0))
+    state = prepared_state(stream, cfg)
+    batch = stream.tasks[0].train[:2]
+    _, l_k, _, selections = forward(state, batch, cfg)
+    negatives = [sel.negative for sel in selections]
+    # Park every key no image selected on image 0: rescoring would now find
+    # a negative at distance ~0 for it.
+    z0 = state.encoders.encode_image(batch[0])
+    used = {i for sel in selections for i in sel.indices}
+    unused = [i for i in range(cfg.n) if i not in used]
+    state.bank.keys.values[unused] = z0
+    rescored = scores(z0, state.bank.keys.values)
+    assert min(rescored[i] for i in range(cfg.n) if i not in selections[0].indices) < negatives[0]
+
+    _, l_k_pinned, _, pinned = forward(state, batch, cfg, selections)
+    assert pinned is selections
+    assert [sel.negative for sel in pinned] == negatives
+    assert float(l_k_pinned.values) == float(l_k.values)
 
 
 def test_shared_prompt_sequential_training_forgets_versus_joint():
