@@ -13,8 +13,8 @@ from .data_io import (SyntheticSpec, Task, TaskStream, generate_synthetic,
                       write_checkpoint, write_embedding_file)
 from .encoders import FrozenEncoderPair, ImageSample, TokenSequence
 from .evaluation import AccuracyMatrix, CdclReport, average_accuracy, evaluate, run_cdcl
-from .objective import (DistanceVariant, LossBreakdown, classification_loss,
-                        key_matching_loss, prompt_orthogonality_loss, total_loss)
+from .objective import (LossBreakdown, classification_loss, key_matching_loss,
+                        prompt_orthogonality_loss, total_loss)
 from .trainer import (LearnerState, TrainConfig, forward, init_state, lr_at, preset,
                       run_sequence, train_step, train_task)
 

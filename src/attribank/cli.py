@@ -41,7 +41,7 @@ from . import __version__
 from . import autodiff as ad
 from . import data_io as dio
 from .evaluation import AccuracyMatrix, average_accuracy, run_cdcl
-from .objective import total_loss
+from .objective import DISTANCES, total_loss
 from .trainer import MODES, SequenceError, TrainConfig, forward, init_state, preset, run_sequence
 from .util import canonical_json, content_hash, dump_json
 
@@ -83,7 +83,7 @@ def _read_run_json(path: str):
 
 def _parse_train_config(raw: dict, seed_override=None) -> TrainConfig:
     try:
-        cfg = TrainConfig.from_dict(raw.get("train", {}))
+        cfg = TrainConfig(**raw.get("train", {}))
         if seed_override is not None:
             cfg = dataclasses.replace(cfg, seed=seed_override)
     except (TypeError, ValueError) as e:
@@ -112,9 +112,12 @@ def _build_stream(data_cfg: dict):
         if test_path:
             if not os.path.exists(test_path):
                 raise dio.DataError(f"embedding file not found: {test_path}")
-            test, tokens2, d2 = dio.read_embedding_file(test_path)
-            if d2 != d:
+            test, test_tokens, test_d = dio.read_embedding_file(test_path)
+            if test_d != d:
                 raise dio.DataError("train and test files disagree on dimension")
+            if len(test_tokens) != len(tokens) or any(
+                    test_tokens[cid].tobytes() != row.tobytes() for cid, row in tokens.items()):
+                raise dio.DataError("train and test files disagree on the class-token table")
         else:
             test = []
         return dio.assemble_stream(train, test, tokens, d)
@@ -473,7 +476,7 @@ def build_parser() -> _Parser:
     p_grad.add_argument("--d", type=int, default=16)
     p_grad.add_argument("--k", type=int, default=3)
     p_grad.add_argument("--batch", type=int, default=2)
-    p_grad.add_argument("--distance", choices=("cosine", "mse", "triplet"), default="cosine")
+    p_grad.add_argument("--distance", choices=DISTANCES, default="cosine")
     p_grad.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p_grad.set_defaults(fn=cmd_gradcheck)
 

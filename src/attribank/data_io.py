@@ -29,7 +29,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .encoders import ImageSample
+from . import autodiff as ad
+from .bank import AttributeBank
+from .encoders import FrozenEncoderPair, ImageSample
+from .trainer import LearnerState, TrainConfig, preset
 from .util import atomic_write_bytes, keyed_rng
 
 EMBED_MAGIC = b"ATRB"
@@ -404,13 +407,8 @@ def read_checkpoint(path: str):
 
 
 def _state_from_sections(sections: dict):
-    from .trainer import LearnerState, TrainConfig, preset
-    from .encoders import FrozenEncoderPair
-    from .bank import AttributeBank
-    from . import autodiff as ad
-
     meta = json.loads(sections["meta"].decode())
-    config = TrainConfig.from_dict(json.loads(sections["config"].decode()))
+    config = TrainConfig(**json.loads(sections["config"].decode()))
     mode = meta["mode"]
     expected = {"meta", "config", "class_tokens"}
     if mode != "zero_shot":

@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .util import content_hash, keyed_rng
 
-_CTX_IMAGE, _CTX_MIX, _CTX_PROJ, _CTX_POS, _CTX_CLASS_TOKEN = 11, 12, 13, 14, 15
+_CTX_IMAGE, _CTX_MIX, _CTX_PROJ, _CTX_POS = 11, 12, 13, 14
 
 
 @dataclass
@@ -156,11 +156,3 @@ class FrozenEncoderPair:
 
         return ad.record("encode_text", (x,), ad.Tensor(proj @ pooled), grad_fn)
 
-
-def class_token(seed: int, class_id: int, d: int) -> np.ndarray:
-    """Default per-class token, drawn once from an id-keyed stream.
-
-    Used when the data source supplies no class token table; draws are
-    independent of task arrival order.
-    """
-    return keyed_rng(seed, _CTX_CLASS_TOKEN, int(class_id)).standard_normal(d) / math.sqrt(d)

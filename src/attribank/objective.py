@@ -4,9 +4,10 @@ Three components combine into the training objective:
 
   classification     L_m = mean over batch of -log p(label), with
                      p_i proportional to exp(cos(z, w_i) / tau)
-  key matching       L_k = sum over selected keys of a distance to z
-                     (cosine distance, normalized MSE, or triplet against
-                     the selection's detached negative)
+  key matching       L_k = sum over selected keys of a distance to z, one of
+                     DISTANCES: "cosine" (1 - cos), "mse" (normalized squared
+                     error) or "triplet" (hinge against the selection's
+                     detached negative at the fixed margin TRIPLET_MARGIN)
   prompt diversity   L_p = mean absolute pairwise cosine similarity of the
                      standalone prompt embeddings, over all bank entries
 
@@ -26,19 +27,8 @@ from . import autodiff as ad
 from .bank import AttributeBank, Selection
 from .encoders import TokenSequence
 
-_VARIANTS = ("cosine", "mse", "triplet")
-
-
-@dataclass
-class DistanceVariant:
-    kind: str = "cosine"
-    triplet_margin: float = 0.2
-
-    def __post_init__(self):
-        if self.kind not in _VARIANTS:
-            raise ValueError(f"distance variant must be one of {_VARIANTS}, got {self.kind!r}")
-        if self.kind == "triplet" and self.triplet_margin <= 0:
-            raise ValueError("triplet variant needs a positive margin")
+DISTANCES = ("cosine", "mse", "triplet")
+TRIPLET_MARGIN = 0.2
 
 
 @dataclass
@@ -79,7 +69,7 @@ def _relu(t: ad.Tensor) -> ad.Tensor:
 
 
 def key_matching_loss(z: np.ndarray, sel: Selection, bank: AttributeBank,
-                      variant: DistanceVariant) -> ad.Tensor:
+                      distance: str) -> ad.Tensor:
     """Distance from z to each selected key, summed; gradients reach only
     the selected keys (z is a constant, negatives are detached).
 
@@ -87,17 +77,17 @@ def key_matching_loss(z: np.ndarray, sel: Selection, bank: AttributeBank,
     made: a pinned selection keeps it while the keys move, so central
     differences measure the detached branch the optimizer follows.
     """
-    if variant.kind == "triplet" and sel.negative is None:
+    if distance == "triplet" and sel.negative is None:
         raise ValueError("triplet variant needs at least one unselected key as negative")
     zc = ad.constant(np.asarray(z, dtype=np.float64))
     keys = [ad.take(bank.keys, i) for i in sel.indices]
-    if variant.kind == "mse":
+    if distance == "mse":
         # ||z/|z| - k/|k|||^2 == 2 - 2 cos(z, k); both vectors unit-normalized
         terms = ad.add(ad.cosine_logits(zc, keys, -2.0), 2.0)
     else:
         terms = ad.add(ad.cosine_logits(zc, keys, -1.0), 1.0)
-        if variant.kind == "triplet":
-            terms = _relu(ad.add(terms, variant.triplet_margin - sel.negative))
+        if distance == "triplet":
+            terms = _relu(ad.add(terms, TRIPLET_MARGIN - sel.negative))
     return ad.sum_all(terms)
 
 

@@ -1,4 +1,4 @@
-"""Task-sequential training: SGD, its learning rate on one cosine arc per task.
+"""Task-sequential training: plain SGD, its learning rate on one cosine arc per task.
 
 There is one learner, a frozen encoder pair plus a (key, prompt) bank, and
 the modes are presets of it (``preset``):
@@ -8,6 +8,7 @@ the modes are presets of it (``preset``):
                  by every image, cross-entropy only
   zero_shot      no bank and no steps: class tokens only
 
+Every class is named by the token its stream's class-token table supplies.
 Training is rehearsal-free: a task's samples are never read again once the
 task finishes. All shuffling comes from context-keyed streams, so a resumed
 run is bit-identical to an uninterrupted one.
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .bank import KEY_NORM_FLOOR, AttributeBank, class_text_embeddings, init_bank, route
-from .encoders import FrozenEncoderPair, TokenSequence, class_token
-from .objective import (DistanceVariant, LossBreakdown, breakdown, classification_loss,
+from .encoders import FrozenEncoderPair, TokenSequence
+from .objective import (DISTANCES, LossBreakdown, breakdown, classification_loss,
                         key_matching_loss, prompt_orthogonality_loss, total_loss)
 from .util import keyed_rng
 
@@ -49,21 +50,18 @@ class TrainConfig:
     epochs_per_task: int = 10
     batch_size: int = 32
     lr0: float = 0.001
-    weight_decay: float = 0.0
     lambda_k: float = 0.7
     lambda_p: float = 0.3
     c: int = 3
     n: int = 10
     m: int = 12
     tau: float = 0.01
-    distance: DistanceVariant = field(default_factory=DistanceVariant)
+    distance: str = "cosine"
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.distance, str):
-            self.distance = DistanceVariant(kind=self.distance)
-        elif isinstance(self.distance, dict):
-            self.distance = DistanceVariant(**self.distance)
+        if self.distance not in DISTANCES:
+            raise ValueError(f"distance must be one of {DISTANCES}, got {self.distance!r}")
         if self.epochs_per_task < 1 or self.batch_size < 1:
             raise ValueError("epochs_per_task and batch_size must be >= 1")
         if not 1 <= self.c <= self.n:
@@ -74,14 +72,10 @@ class TrainConfig:
             raise ValueError("tau must be positive")
         if self.lambda_k < 0 or self.lambda_p < 0:
             raise ValueError("loss weights must be non-negative")
-        if self.lr0 < 0 or self.weight_decay < 0:
-            raise ValueError("lr0 and weight_decay must be non-negative")
+        if self.lr0 < 0:
+            raise ValueError("lr0 must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 def preset(mode: str, config: TrainConfig) -> TrainConfig:
@@ -120,11 +114,9 @@ class LearnerState:
     def trainable_parameters(self) -> list:
         return self.bank.trainable_parameters() if self.bank is not None else []
 
-    def register_class(self, class_id: int, vector: np.ndarray | None) -> None:
+    def register_class(self, class_id: int, vector: np.ndarray) -> None:
         if class_id in self.class_tokens:
             return
-        if vector is None:
-            vector = class_token(self.encoders.weights.seed, class_id, self.encoders.d)
         vector = np.ascontiguousarray(vector, dtype=np.float64)
         if vector.shape != (self.encoders.d,):
             raise ad.ShapeError(f"class token for {class_id} has shape {vector.shape}")
@@ -164,17 +156,14 @@ def lr_at(step: int, total_steps: int, lr0: float) -> float:
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-def _sgd_update(params, lr: float, weight_decay: float) -> None:
-    # Only rows (bank entries) that actually received gradient move, weight
-    # decay included; every other row stays bit-identical.
+def _sgd_update(params, lr: float) -> None:
+    # Only rows (bank entries) that actually received gradient move; every
+    # other row stays bit-identical.
     for p in params:
         if p.grad is None:
             continue
         rows = np.flatnonzero(p.grad.reshape(len(p.grad), -1).any(axis=1))
-        g = p.grad[rows]
-        if weight_decay:
-            g = g + weight_decay * p.values[rows]
-        p.values[rows] -= lr * g
+        p.values[rows] -= lr * p.grad[rows]
 
 
 def _diagnostic_dump(batch, encoders) -> str:
@@ -227,14 +216,11 @@ def forward(state: LearnerState, batch, config: TrainConfig, selections=None):
     return l_m, l_k, l_p, selections
 
 
-def train_step(state: LearnerState, batch, config: TrainConfig,
-               lr: float | None = None) -> LossBreakdown:
-    """One forward/backward/SGD step on the bank; returns pre-step losses."""
+def train_step(state: LearnerState, batch, config: TrainConfig, lr: float) -> LossBreakdown:
+    """One forward/backward/SGD step on the bank at rate ``lr``; returns pre-step losses."""
     if state.bank is None:
         raise ValueError(f"train_step: mode {state.mode!r} has no bank to train")
     config = preset(state.mode, config)
-    if lr is None:
-        lr = config.lr0
     params = state.trainable_parameters()
 
     ad.reset_tape()
@@ -250,7 +236,7 @@ def train_step(state: LearnerState, batch, config: TrainConfig,
         raise ad.NumericError(f"{e}\n{_diagnostic_dump(batch, state.encoders)}") from None
 
     ad.backward(total)
-    _sgd_update(params, lr, config.weight_decay)
+    _sgd_update(params, lr)
     ad.reset_tape()
     if state.bank.min_key_norm() < KEY_NORM_FLOOR:
         raise ad.NumericError("key norm collapsed below floor after update")
@@ -258,17 +244,16 @@ def train_step(state: LearnerState, batch, config: TrainConfig,
     return parts
 
 
-def train_task(state: LearnerState, task, config: TrainConfig,
-               class_tokens: dict | None = None) -> dict:
-    """Run epochs_per_task seeded passes over one task; returns a task report."""
+def train_task(state: LearnerState, task, config: TrainConfig, class_tokens: dict) -> dict:
+    """Register the task's classes from ``class_tokens``, the stream's token table,
+    then run epochs_per_task seeded passes over the task; returns a task report."""
     if not task.train:
         raise ValueError(f"task {task.task_id}: empty training set")
     overlap = set(task.class_ids).intersection(state.class_tokens)
     if overlap:
         raise ValueError(f"task {task.task_id}: class ids {sorted(overlap)} already seen")
     for cid in task.class_ids:
-        vector = class_tokens.get(cid) if class_tokens else None
-        state.register_class(cid, vector)
+        state.register_class(cid, class_tokens[cid])
 
     if state.bank is None:
         state.tasks_done += 1

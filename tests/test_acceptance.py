@@ -18,7 +18,7 @@ from attribank import data_io as dio
 from attribank.bank import init_bank, select_top_c
 from attribank.encoders import FrozenEncoderPair, TokenSequence
 from attribank.evaluation import AccuracyMatrix, average_accuracy, run_cdcl
-from attribank.objective import (DistanceVariant, classification_loss, key_matching_loss,
+from attribank.objective import (classification_loss, key_matching_loss,
                                  prompt_orthogonality_loss, total_loss)
 from attribank.trainer import TrainConfig, forward, init_state, run_sequence, train_step
 
@@ -106,7 +106,7 @@ def test_criterion_2_oracle_equivalence():
 
         bank = init_bank(6, 2, 8, seed=seed)
         sel = select_top_c(z, bank, 3)
-        lk = key_matching_loss(z, sel, bank, DistanceVariant("cosine")).item()
+        lk = key_matching_loss(z, sel, bank, "cosine").item()
         lk_oracle = sum(1.0 - cos(z, bank.keys.values[i]) for i in sel.indices)
         worst = max(worst, abs(lk - lk_oracle) / max(1.0, abs(lk_oracle)))
 
@@ -193,7 +193,7 @@ def test_criterion_4_frozen_and_sparse_invariants():
         selected.update(select_top_c(z, state2.bank, cfg2.c).indices)
     key_before = state2.bank.keys.values.copy()
     prompt_before = state2.bank.prompts.values.copy()
-    train_step(state2, batch, cfg2)
+    train_step(state2, batch, cfg2, cfg2.lr0)
     sparse_ok = True
     for i in range(cfg2.n):
         if i not in selected:
@@ -284,9 +284,9 @@ def test_criterion_8_prompt_diversity_mechanism():
         stream = dio.generate_synthetic(bench_spec(seed))
         base = dataclasses.asdict(bench_config(seed))
         base["lambda_p"] = 0.3
-        _, with_lp = run_sequence(stream, TrainConfig.from_dict(base), mode="attriclip")
+        _, with_lp = run_sequence(stream, TrainConfig(**base), mode="attriclip")
         base["lambda_p"] = 0.0
-        _, without_lp = run_sequence(stream, TrainConfig.from_dict(base), mode="attriclip")
+        _, without_lp = run_sequence(stream, TrainConfig(**base), mode="attriclip")
         a, b = mean_abs_cos(with_lp), mean_abs_cos(without_lp)
         details.append(f"seed {seed}: {a:.3f} (on) vs {b:.3f} (off)")
         ok = ok and a < b

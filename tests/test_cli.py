@@ -47,6 +47,19 @@ def test_bad_train_field_exits_1(tmp_path):
     assert rc == 1
 
 
+# Settings that older configs and checkpoints may still carry; no run uses them.
+REMOVED_SETTINGS = {"weight_decay": {"weight_decay": 0.0},
+                    "dict_distance": {"distance": {"kind": "cosine", "triplet_margin": 0.2}}}
+
+
+@pytest.mark.parametrize("setting", sorted(REMOVED_SETTINGS))
+def test_train_section_with_removed_setting_exits_1(tmp_path, capsys, setting):
+    train = json.loads(open(write_config(tmp_path)).read())["train"]
+    cfg = write_config(tmp_path, train={**train, **REMOVED_SETTINGS[setting]})
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "bad train config" in capsys.readouterr().err
+
+
 def test_missing_data_file_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, data={"kind": "file", "train_path": str(tmp_path / "no.atrb")})
     rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -164,6 +177,23 @@ def test_resume_with_damaged_accuracy_matrix_exits_2(tmp_path, capsys, damage):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", sorted(REMOVED_SETTINGS))
+def test_resume_from_checkpoint_with_removed_setting_exits_2(tmp_path, capsys, setting):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    (out / "checkpoints" / "after_task_02.ckpt").unlink()
+    ckpt = out / "checkpoints" / "after_task_01.ckpt"
+    sections = dio._parse_sections(ckpt.read_bytes(), str(ckpt))
+    config = json.loads(sections["config"].decode())
+    config.update(REMOVED_SETTINGS[setting])
+    sections["config"] = json.dumps(config, sort_keys=True).encode()
+    ckpt.write_bytes(dio._sections_blob(sections))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg, "--out", str(out), "--resume"]) == 2
+    assert "malformed checkpoint" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train", "cdcl", "sweep", "gradcheck"])
 def test_negative_seed_exits_1(tmp_path, capsys, command):
     out = ["--out", str(tmp_path / "out")]
@@ -195,6 +225,20 @@ def test_atrb_train_file_without_records_exits_2(tmp_path, capsys):
     cfg = _write_atrb_pair(tmp_path, d=4, train_records=False)
     assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "no training records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("test_tokens", [{0: np.ones(4), 1: np.ones(4)}, {0: np.full(4, 2.0)}],
+                         ids=["class_count", "value"])
+def test_atrb_files_with_different_token_tables_exit_2(tmp_path, capsys, test_tokens):
+    sample = [ImageSample(vector=np.ones(4), label=0, task_id=0)]
+    paths = {}
+    for split, tokens in (("train", {0: np.ones(4)}), ("test", test_tokens)):
+        paths[split] = str(tmp_path / f"{split}.atrb")
+        dio.write_embedding_file(paths[split], sample, tokens, 4)
+    cfg = write_config(tmp_path, data={"kind": "file", "train_path": paths["train"],
+                                       "test_path": paths["test"]})
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "class-token table" in capsys.readouterr().err
 
 
 def test_resume_refuses_rewritten_data_files(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from attribank import autodiff as ad
-from attribank.encoders import FrozenEncoderPair, ImageSample, TokenSequence, class_token
+from attribank.encoders import FrozenEncoderPair, ImageSample, TokenSequence
 
 from conftest import rng
 from reference import matmul, mul, softmax_logits, transpose
@@ -145,11 +145,3 @@ def test_encode_text_rejects_wrong_dim_and_overlong():
 def test_token_sequence_requires_matrix():
     with pytest.raises(ad.ShapeError):
         TokenSequence(ad.constant(np.zeros(4)))
-
-
-def test_class_token_is_seed_and_id_keyed():
-    a = class_token(1, 3, 8)
-    b = class_token(1, 3, 8)
-    np.testing.assert_array_equal(a, b)
-    assert not np.allclose(class_token(1, 4, 8), a)
-    assert not np.allclose(class_token(2, 3, 8), a)

@@ -5,10 +5,21 @@ must be referenced outside its own definition, in the package (``__init__``
 does not count: re-exporting is not using) or in ``perfbench/``. Only
 ``Name``, ``Attribute`` and import nodes count, never strings. Code that
 only tests call belongs in ``tests/``.
+
+Likewise every ``TrainConfig`` field must be changed from its default
+somewhere outside the tests: by a ``configs/*.json`` train section, by a
+``*_TRAIN`` dict of ``perfbench/workloads.py``, or by the CLI (a sweep axis
+or ``--seed``).
 """
 
 import ast
+import dataclasses
+import json
 import pathlib
+import sys
+
+from attribank import cli
+from attribank.trainer import TrainConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "attribank"
@@ -63,3 +74,24 @@ def unreferenced():
 
 def test_every_definition_is_referenced_outside_itself():
     assert unreferenced() == sorted(ALLOWED)
+
+
+
+def changed_train_fields():
+    """TrainConfig fields that a bundled config, a benchmark workload or the CLI varies."""
+    defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+    sections = [json.loads(path.read_text()).get("train", {})
+                for path in sorted((ROOT / "configs").glob("*.json"))]
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    sections += [value for name, value in vars(workloads).items() if name.endswith("_TRAIN")]
+    changed = {k for section in sections for k, v in section.items() if v != defaults[k]}
+    return changed | set(cli._SWEEP_AXES.values()) | {"seed"}  # seed: every --seed flag
+
+
+def test_every_train_setting_is_changed_outside_tests():
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert sorted(fields - changed_train_fields()) == []
