@@ -6,7 +6,8 @@ gradients into the ``grad`` buffers of every tensor that requires them.
 Everything is double precision: the package's acceptance rests on tight
 gradient checks, not throughput.
 
-Supported primitives: add, scale, concat, take, cosine_logits, neg_log_prob,
+Supported primitives: add, scale, concat, take (one row or an index list),
+cosine_logits (one vector against the K rows of a matrix), neg_log_prob,
 abs, sum, mean. No broadcasting beyond scalar-tensor; shapes are checked
 explicitly per primitive. A fused block over constant weights, such as the
 frozen text tower, is one node built with ``record``; ``tests/reference.py``
@@ -178,66 +179,66 @@ def concat(tensors) -> Tensor:
     return record("concat", tuple(tensors), out, grad_fn)
 
 
-def take(a: Tensor, i: int) -> Tensor:
-    """Row ``i`` of ``a`` along axis 0; its gradient goes only into that row."""
+def take(a: Tensor, index) -> Tensor:
+    """Row ``index`` of ``a`` along axis 0, or the rows of a list of distinct
+    indices, in its order; the gradient goes only into the rows read."""
     a = _as_tensor(a)
-    i = int(i)
-    if a.values.ndim < 1 or not 0 <= i < a.shape[0]:
-        raise IndexError(f"take: row {i} out of range for shape {a.shape}")
-    out = Tensor(a.values[i])
+    n = a.shape[0] if a.values.ndim else 0
+    if isinstance(index, (int, np.integer)):
+        index = int(index)
+        ok = 0 <= index < n
+    else:
+        index = [int(i) for i in index]
+        ok = len(set(index)) == len(index) and all(0 <= i < n for i in index)
+    if not ok:
+        raise IndexError(f"take: row {index} out of range or repeated for shape {a.shape}")
+    out = Tensor(a.values[index])
 
     def grad_fn(g):
-        # Accumulate straight into the row, so no zero array of a's full
-        # shape is built per read.
-        a.grad[i] += g
+        # Accumulate straight into the rows, so no zero array of a's full
+        # shape is built per read; distinct rows make the in-place add exact.
+        a.grad[index] += g
         return (None,)
 
     return record("take", (a,), out, grad_fn)
 
 
-def cosine_logits(a: Tensor, bs, alpha: float) -> Tensor:
-    """The vector of ``alpha * cos(a, b_k)`` over ``bs``, as one tape node.
+def cosine_logits(a: Tensor, b, alpha: float) -> Tensor:
+    """The vector of ``alpha * cos(a, b_k)`` over the rows b_k of the (K, d) ``b``, as one node.
 
-    Bit-identical to concatenating ``scale(cosine_sim(a, b_k), alpha)`` over k
-    (the chain in ``tests/reference.py``), in values and gradients, without
-    2k + 1 nodes per call. It is the package's one cosine: on constants it
-    records nothing, so key selection and evaluation read its ``values``
-    with ``alpha = 1``.
+    Bit-identical to concatenating ``scale(cosine_sim(a, take(b, k)), alpha)``
+    over k (the chain in ``tests/reference.py``), in values and gradients,
+    without 2K + 1 nodes per call. It is the package's one differentiable
+    cosine: on constants it records nothing, so key selection reads its
+    ``values`` with ``alpha = 1``.
     """
-    a = _as_tensor(a)
-    bs = tuple(_as_tensor(b) for b in bs)
+    a, b = _as_tensor(a), _as_tensor(b)
     alpha = float(alpha)
     if not np.isfinite(alpha):
         raise NumericError(f"cosine_logits: non-finite factor {alpha}")
-    if not bs:
-        raise ShapeError("cosine_logits: empty input list")
-    a_shape = a.shape
-    for b in bs:
-        if b.shape != a_shape:
-            raise ShapeError(f"cosine_logits: shape mismatch {a_shape} vs {b.shape}")
-    av = a.values.reshape(-1)
+    if a.values.ndim != 1 or b.values.ndim != 2 or b.shape[1] != a.shape[0]:
+        raise ShapeError(f"cosine_logits: expects a (d,) vector and (K, d) rows, "
+                         f"got {a.shape} and {b.shape}")
+    if not b.shape[0]:
+        raise ShapeError("cosine_logits: no rows")
+    av, bv = a.values, b.values
+    # One dot product per row, as the per-pair chain computes it.
     na = np.sqrt(np.dot(av, av) + NORM_EPS)
-    bvs = [b.values.reshape(-1) for b in bs]
-    nbs = [np.sqrt(np.dot(bv, bv) + NORM_EPS) for bv in bvs]
-    cs = [np.dot(av, bv) / (na * nb) for bv, nb in zip(bvs, nbs)]
-    out = Tensor(np.array([c * alpha for c in cs]))
+    nb = np.sqrt(np.array([np.dot(row, row) for row in bv]) + NORM_EPS)
+    c = np.array([np.dot(av, row) for row in bv]) / (na * nb)
+    out = Tensor(c * alpha)
 
     def grad_fn(g):
-        ga = None
-        gbs = [None] * len(bs)
-        # Reverse order, as backward would visit the per-entry nodes, so a's
-        # gradient is summed in the same order.
-        for k in reversed(range(len(bs))):
-            gf = float(g[k] * alpha)
-            bv, nb, c = bvs[k], nbs[k], cs[k]
-            if a.requires_grad:
-                gk = (gf * (bv / (na * nb) - (c / (na * na)) * av)).reshape(a_shape)
-                ga = gk if ga is None else ga + gk
-            if bs[k].requires_grad:
-                gbs[k] = (gf * (av / (na * nb) - (c / (nb * nb)) * bv)).reshape(a_shape)
-        return (ga, *gbs)
+        gf = (g * alpha)[:, None]
+        ga = gb = None
+        if a.requires_grad:
+            # Summed in reverse row order, as backward would visit the per-row nodes.
+            ga = np.add.reduce((gf * (bv / (na * nb)[:, None] - (c / (na * na))[:, None] * av))[::-1])
+        if b.requires_grad:
+            gb = gf * (av / (na * nb)[:, None] - (c / (nb * nb))[:, None] * bv)
+        return ga, gb
 
-    return record("cosine_logits", (a, *bs), out, grad_fn)
+    return record("cosine_logits", (a, b), out, grad_fn)
 
 
 def neg_log_prob(logits: Tensor, index: int) -> Tensor:

@@ -121,38 +121,42 @@ def route(z: np.ndarray, bank: AttributeBank | None, c: int) -> Selection | None
     return select_top_c(z, bank, c)
 
 
-def compose_text_input(sel: Selection, bank: AttributeBank,
-                       class_token: TokenSequence) -> TokenSequence:
-    """Concatenate the selected prompts, in selection order, then the class tokens.
+def compose_text_input(sel: Selection, bank: AttributeBank) -> TokenSequence:
+    """The prompt prefix of a selection: its prompts concatenated in selection order.
 
-    Prompt tokens keep their trainable status through the concat; class tokens
-    contribute no gradient.
+    Every candidate class's text is this prefix plus its class token.
+    Prompt tokens keep their trainable status through the concat.
     """
     for i in sel.indices:
         if not 0 <= i < bank.n:
             raise ValueError(f"selection index {i} outside bank of {bank.n}")
-    d = bank.prompts.shape[2]
-    if class_token.dim != d:
-        raise ad.ShapeError(
-            f"compose_text_input: class token dim {class_token.dim} != bank dim {d}")
-    parts = [ad.take(bank.prompts, i) for i in sel.indices]
-    parts.append(class_token.tokens)
-    return TokenSequence(ad.concat(parts))
+    return TokenSequence(ad.concat([ad.take(bank.prompts, i) for i in sel.indices]))
 
 
 def class_text_embeddings(encoders, bank: AttributeBank | None, sel: Selection | None,
-                          class_seqs: list, cache: dict) -> list:
-    """Text embeddings of every candidate class under one selection.
+                          class_rows: ad.Tensor, cache: dict) -> ad.Tensor:
+    """Text embeddings of every candidate class under one selection, as one (K, d) tensor.
 
-    ``cache`` keeps one entry per selection, holding all candidates in the
-    order of ``class_seqs``. With no selection the class tokens are encoded
-    alone. On a parameter bank the embeddings are on the tape; on
-    ``frozen_view()`` they are constants.
+    ``class_rows`` holds the K candidates' class tokens, one per row, and
+    ``cache`` keeps one entry per selection. With no selection the prefix is
+    empty and the class tokens are encoded alone.
+
+    On ``frozen_view()`` (evaluation) a cache miss is one ``encode_text``
+    call: the selection's prompt prefix against all K class tokens. On a
+    parameter bank (training) each class is its own sequence with its own
+    reads of the prompts, so training's values and the order its prompt
+    gradients are summed in stay those of the unshared tower, bit for bit.
     """
     key = None if sel is None else sel.index_tuple
     embs = cache.get(key)
     if embs is None:
-        embs = [encoders.encode_text(seq if sel is None else compose_text_input(sel, bank, seq))
-                for seq in class_seqs]
+        if sel is not None and bank.prompts.requires_grad:
+            embs = ad.concat([encoders.encode_text(TokenSequence(ad.concat(
+                [ad.take(bank.prompts, i) for i in sel.indices] + [class_rows.values[k:k + 1]])))
+                for k in range(class_rows.shape[0])])
+        else:
+            prefix = (TokenSequence(ad.constant(np.zeros((0, class_rows.shape[1]))))
+                      if sel is None else compose_text_input(sel, bank))
+            embs = encoders.encode_text(prefix, class_rows)
         cache[key] = embs
     return embs

@@ -282,8 +282,14 @@ def read_embedding_file(path: str):
 
 
 def assemble_stream(train_samples, test_samples, class_tokens: dict, d: int) -> TaskStream:
-    """Group flat records into an ordered task stream (lookup image backend)."""
+    """Group flat records into an ordered task stream (lookup image backend).
+
+    Every test record must belong to a task that has training records.
+    """
     task_ids = sorted({s.task_id for s in train_samples})
+    orphans = sorted({s.task_id for s in test_samples} - set(task_ids))
+    if orphans:
+        raise DataError(f"test records of task ids {orphans} have no training records")
     tasks = []
     for tid in task_ids:
         train = [s for s in train_samples if s.task_id == tid]

@@ -14,6 +14,11 @@ The text encoder is a deliberately small, order-sensitive network:
 
 Its weights are frozen; gradients flow only into the input tokens, which is
 exactly the property prompt tuning relies on.
+
+``encode_text(prefix, tails)`` embeds K sequences that share one prefix and
+differ in their last token, such as one selection's prompts followed by
+each candidate's class token, as one tape node. The prefix's scores are
+computed once; each tail adds one score row and one score column.
 """
 
 from __future__ import annotations
@@ -40,21 +45,14 @@ class ImageSample:
 
 @dataclass
 class TokenSequence:
-    """Ordered token matrix of shape (length, dim), possibly on the tape."""
+    """Ordered token matrix of shape (length, dim), possibly on the tape; an
+    empty (0, dim) matrix is the prefix of a learner without a bank."""
 
     tokens: ad.Tensor
 
     def __post_init__(self):
-        if self.tokens.values.ndim != 2 or self.tokens.shape[0] < 1:
+        if self.tokens.values.ndim != 2:
             raise ad.ShapeError(f"TokenSequence expects a (length, dim) matrix, got {self.tokens.shape}")
-
-    @property
-    def length(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.tokens.shape[1]
 
 
 @dataclass
@@ -121,21 +119,95 @@ class FrozenEncoderPair:
             return x
         return self.weights.theta["w_image"] @ x
 
-    def encode_text(self, seq: TokenSequence) -> ad.Tensor:
-        """Embed a token sequence; differentiable w.r.t. input tokens only.
+    def encode_text(self, seq: TokenSequence, tails: ad.Tensor | None = None) -> ad.Tensor:
+        """Embed ``[seq; t_k]`` for every row t_k of the (K, d) ``tails``, as one (K, d) node.
 
-        The tower is one tape node. Its arithmetic, forward and backward, is
-        that of the primitive chain add, matmul, transpose, matmul, scale,
-        softmax_logits, matmul, matmul, matmul, so values and gradients are
-        bit-identical to building the chain, without nine nodes per call.
+        With no ``tails`` the last row of ``seq`` is the one tail: the result is
+        (1, d), computed by the unshared tower that training runs on
+        (``_encode_sequence``). Differentiable w.r.t. ``seq`` and ``tails`` only.
+
+        With ``tails``, every sequence shares its first L = len(seq) rows, so
+        the L x L prefix block of the scores is computed once; each tail adds
+        one score column (to every prefix row) and one score row. Prefix row
+        i of sequence k takes the shift max(row max of the block, its score
+        against tail k), the shift of the unshared softmax. With
+        A = E_PP xp_P the shared block's attention mass, the pooled vector of
+        sequence k is
+
+            (sum_i R_ik u_ik A_i + (sum_i R_ik w_ik + a_kk) xp_k + a_kP xp_P) / (L + 1)
+
+        where u and w rescale row i to its shift, R is its softmax normaliser
+        and a_k is the softmax of the tail's own row. The cost is
+        O(L^2 d + K L d) in place of K sequences at O(L^2 d) each; values
+        agree with the unshared tower to about 1e-15 relative, not bit for bit.
         """
         x = seq.tokens
-        s, dim = x.shape
-        if dim != self.d:
-            raise ad.ShapeError(f"encode_text: token dim {dim} != encoder dim {self.d}")
-        if s > self.max_tokens:
+        if x.shape[1] != self.d:
+            raise ad.ShapeError(f"encode_text: token dim {x.shape[1]} != encoder dim {self.d}")
+        n = x.shape[0] if tails is not None else x.shape[0] - 1
+        if n < 0:
+            raise ad.ShapeError("encode_text: no tail row")
+        if n + 1 > self.max_tokens:
             raise ad.ShapeError(
-                f"encode_text: sequence length {s} exceeds positional table ({self.max_tokens})")
+                f"encode_text: sequence length {n + 1} exceeds positional table ({self.max_tokens})")
+        if tails is None:
+            return self._encode_sequence(x)
+        if tails.values.ndim != 2 or tails.shape[1] != self.d:
+            raise ad.ShapeError(f"encode_text: tails must be (K, {self.d}), got {tails.shape}")
+        psi, alpha = self.weights.psi, self._inv_sqrt_d
+        mix, proj = psi["w_mix"], psi["w_proj"]
+        xp = x.values + psi["pos"][:n]      # (L, d), shared
+        xt = tails.values + psi["pos"][n]   # (K, d), one row per sequence
+        xm, xmt = xp @ mix, xt @ mix
+        # Prefix rows: the shared block, then one column per tail.
+        s_pp = (xm @ xp.T) * alpha
+        s_pt = (xm @ xt.T) * alpha
+        row_max = s_pp.max(axis=1, initial=-np.inf)[:, None]
+        shift = np.maximum(row_max, s_pt)
+        e_pp = np.exp(s_pp - row_max)
+        u, w = np.exp(row_max - shift), np.exp(s_pt - shift)
+        r = 1.0 / (u * e_pp.sum(axis=1, keepdims=True) + w)
+        ru, rw = r * u, r * w
+        a = e_pp @ xp
+        # Tail rows: one score per prefix row, then their own.
+        s_tp = (xmt @ xp.T) * alpha
+        s_tt = np.einsum("kd,kd->k", xmt, xt) * alpha
+        t_max = np.maximum(s_tp.max(axis=1, initial=-np.inf), s_tt)
+        e_tp, e_tt = np.exp(s_tp - t_max[:, None]), np.exp(s_tt - t_max)
+        z_t = e_tp.sum(axis=1) + e_tt
+        a_tp, a_tt = e_tp / z_t[:, None], e_tt / z_t
+        tail_mass = rw.sum(axis=0) + a_tt
+        pooled = (ru.T @ a + tail_mass[:, None] * xt + a_tp @ xp) / (n + 1)
+
+        def grad_fn(g):
+            gp = (g @ proj) / (n + 1)              # (K, d): each row of sequence k gets it
+            v_p = gp @ xp.T                        # (K, L): gradient of row attention to prefix j
+            v_t = np.einsum("kd,kd->k", gp, xt)    # (K,): ... to the sequence's own tail
+            ru_gp = ru @ gp
+            dot = ru * (a @ gp.T) + rw * v_t
+            g_spp = e_pp * (ru_gp @ xp.T - (ru * dot).sum(axis=1, keepdims=True)) * alpha
+            g_spt = rw * (v_t - dot) * alpha
+            dot_t = (a_tp * v_p).sum(axis=1) + a_tt * v_t
+            g_stp = a_tp * (v_p - dot_t[:, None]) * alpha
+            g_stt = a_tt * (v_t - dot_t) * alpha
+            g_xp = (e_pp.T @ ru_gp + a_tp.T @ gp + (g_spp @ xp + g_spt @ xt) @ mix.T
+                    + g_spp.T @ xm + g_stp.T @ xmt)
+            g_xt = (tail_mass[:, None] * gp + g_spt.T @ xm + (g_stp @ xp) @ mix.T
+                    + g_stt[:, None] * (xt @ mix.T + xmt))
+            return g_xp, g_xt
+
+        return ad.record("encode_text", (x, tails), ad.Tensor(pooled @ proj.T), grad_fn)
+
+    def _encode_sequence(self, x: ad.Tensor) -> ad.Tensor:
+        """One sequence through the tower, as one (1, d) node.
+
+        Its arithmetic, forward and backward, is that of the primitive chain
+        add, matmul, transpose, matmul, scale, softmax_logits, matmul, matmul,
+        matmul, bit for bit. Training runs on it: the prompt updates amplify
+        a one-ulp change in the embeddings until the accuracies move, so the
+        prefix-shared arithmetic is kept out of the training path.
+        """
+        s = x.shape[0]
         psi, alpha = self.weights.psi, self._inv_sqrt_d
         mix, proj = psi["w_mix"], psi["w_proj"]
         xp = x.values + psi["pos"][:s]
@@ -148,11 +220,10 @@ class FrozenEncoderPair:
         pooled = pool @ (attn @ xp)  # (s,) @ (s,d) -> (d,)
 
         def grad_fn(g):
-            g_mixed = np.outer(pool, proj.T @ g)
+            g_mixed = np.outer(pool, proj.T @ g[0])
             g_attn = g_mixed @ xp.T
             g_scores = ((g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * attn) * alpha
             g_xp = attn.T @ g_mixed + (xm.T @ g_scores).T
             return (g_xp + (g_scores @ xp_t.T) @ mix.T,)
 
-        return ad.record("encode_text", (x,), ad.Tensor(proj @ pooled), grad_fn)
-
+        return ad.record("encode_text", (x,), ad.Tensor((proj @ pooled)[None]), grad_fn)

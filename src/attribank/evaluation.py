@@ -89,11 +89,13 @@ class CdclReport:
 def evaluate(state, test_set, candidate_classes, cache: dict | None = None) -> float:
     """Accuracy percent over test_set with predictions restricted to candidates.
 
-    Per sample: encode the image, route it through the bank, embed every
-    candidate class under that routing, and take the class with the
-    highest cosine similarity. Candidates are sorted internally, so the
-    result does not depend on their given order and ties break toward the
-    lowest class id. All tensors are constants: nothing lands on the tape.
+    Each sample's image is encoded and routed through the bank once. Samples
+    that share a selection form a group; the group's candidate classes are
+    embedded once, as a (K, d) matrix, and each sample predicts the class of
+    highest guarded cosine similarity in the group's (rows x K) matrix.
+    Candidates are sorted internally, so the result does not depend on
+    their given order and ties break toward the lowest class id. All
+    tensors are constants: nothing lands on the tape.
 
     Calls on one bank state may share ``cache`` (``run_sequence`` passes one per
     round); it keys class embeddings by candidate list, never mixing two lists.
@@ -110,14 +112,37 @@ def evaluate(state, test_set, candidate_classes, cache: dict | None = None) -> f
 
     enc = state.encoders
     bank = state.bank.frozen_view() if state.bank is not None else None
-    class_seqs = [state.class_token_seq(cid) for cid in candidates]
+    class_rows = state.class_token_rows(candidates)
     table = ({} if cache is None else cache).setdefault(tuple(candidates), {})
-    hits = 0
-    for sample in test_set:
-        z = enc.encode_image(sample)
-        embs = class_text_embeddings(enc, bank, route(z, bank, state.top_c), class_seqs, table)
-        hits += candidates[int(np.argmax(ad.cosine_logits(z, embs, 1.0).values))] == sample.label
-    return 100.0 * hits / len(test_set)
+    zs = np.empty((len(test_set), enc.d))
+    groups: dict = {}
+    for row, sample in enumerate(test_set):
+        zs[row] = enc.encode_image(sample)
+        sel = route(zs[row], bank, state.top_c)
+        groups.setdefault(None if sel is None else sel.index_tuple, (sel, []))[1].append(row)
+    predicted = np.empty(len(test_set), dtype=np.int64)
+    for sel, rows in groups.values():
+        embs = class_text_embeddings(enc, bank, sel, class_rows, table).values
+        for start in range(0, len(rows), _EVAL_ROWS):
+            part = rows[start:start + _EVAL_ROWS]
+            predicted[part] = _cosine_matrix(zs[part], embs).argmax(axis=1)
+    labels = np.array([sample.label for sample in test_set])
+    return 100.0 * int((np.asarray(candidates)[predicted] == labels).sum()) / len(test_set)
+
+
+# Samples per cosine matrix, so evaluation's memory does not grow with a
+# group's size.
+_EVAL_ROWS = 256
+
+
+def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(R, d) x (K, d) -> (R, K) cosine similarities, each norm guarded as in
+    ``autodiff.cosine_logits``."""
+    na = np.sqrt(np.einsum("ij,ij->i", a, a) + ad.NORM_EPS)
+    nb = np.sqrt(np.einsum("ij,ij->i", b, b) + ad.NORM_EPS)
+    sims = a @ b.T
+    sims /= np.outer(na, nb)
+    return sims
 
 
 def run_cdcl(stream_a, stream_b, config, mode: str = "attriclip") -> CdclReport:

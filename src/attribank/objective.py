@@ -45,8 +45,8 @@ def classification_loss(batch, tau: float) -> ad.Tensor:
     """Mean negative log-probability of the true class, on the tape.
 
     ``batch`` is a list of (z, label_index, text_embeddings) where z is a raw
-    embedding, label_index points into text_embeddings, and each text
-    embedding is a (d,) tensor from the text encoder.
+    embedding, label_index points into text_embeddings, and text_embeddings
+    is the (K, d) tensor of the candidate classes' text embeddings.
     """
     if not batch:
         raise ValueError("classification_loss: empty batch")
@@ -55,8 +55,8 @@ def classification_loss(batch, tau: float) -> ad.Tensor:
     inv_tau = 1.0 / tau
     nlls = []
     for z, label, embs in batch:
-        if not 0 <= label < len(embs):
-            raise IndexError(f"label index {label} out of range for {len(embs)} classes")
+        if not 0 <= label < embs.shape[0]:
+            raise IndexError(f"label index {label} out of range for {embs.shape[0]} classes")
         zc = ad.constant(np.asarray(z, dtype=np.float64))
         logits = ad.cosine_logits(zc, embs, inv_tau)
         nlls.append(ad.neg_log_prob(logits, label))
@@ -80,7 +80,7 @@ def key_matching_loss(z: np.ndarray, sel: Selection, bank: AttributeBank,
     if distance == "triplet" and sel.negative is None:
         raise ValueError("triplet variant needs at least one unselected key as negative")
     zc = ad.constant(np.asarray(z, dtype=np.float64))
-    keys = [ad.take(bank.keys, i) for i in sel.indices]
+    keys = ad.take(bank.keys, sel.indices)
     if distance == "mse":
         # ||z/|z| - k/|k|||^2 == 2 - 2 cos(z, k); both vectors unit-normalized
         terms = ad.add(ad.cosine_logits(zc, keys, -2.0), 2.0)
@@ -101,12 +101,13 @@ def prompt_orthogonality_loss(bank: AttributeBank, text_encoder) -> ad.Tensor:
     n = bank.n
     if n == 1:
         return ad.constant(0.0)
-    embs = [text_encoder.encode_text(TokenSequence(ad.take(bank.prompts, i)))
-            for i in range(n)]
+    embs = ad.concat([text_encoder.encode_text(TokenSequence(ad.take(bank.prompts, i)))
+                      for i in range(n)])
     # Row i holds the pairs (i, j) for j > i, so the concat is the upper
     # triangle in row-major order.
-    pairs = [ad.absolute(ad.cosine_logits(embs[i], embs[i + 1:], 1.0)) for i in range(n - 1)]
-    return ad.scale(ad.sum_all(ad.concat(pairs)), 1.0 / (n * (n - 1)))
+    pairs = [ad.cosine_logits(ad.take(embs, i), ad.take(embs, range(i + 1, n)), 1.0)
+             for i in range(n - 1)]
+    return ad.scale(ad.sum_all(ad.absolute(ad.concat(pairs))), 1.0 / (n * (n - 1)))
 
 
 def total_loss(l_m: ad.Tensor, l_k: ad.Tensor, l_p: ad.Tensor,

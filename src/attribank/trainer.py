@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .bank import KEY_NORM_FLOOR, AttributeBank, class_text_embeddings, init_bank, route
-from .encoders import FrozenEncoderPair, TokenSequence
+from .encoders import FrozenEncoderPair
 from .objective import (DISTANCES, LossBreakdown, breakdown, classification_loss,
                         key_matching_loss, prompt_orthogonality_loss, total_loss)
 from .util import keyed_rng
@@ -103,7 +103,6 @@ class LearnerState:
     top_c: int = 1
     selection_counts: np.ndarray | None = None
     data_hash: str = ""  # of the data section (and files) trained on; --resume compares it
-    _token_seqs: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -122,12 +121,9 @@ class LearnerState:
             raise ad.ShapeError(f"class token for {class_id} has shape {vector.shape}")
         self.class_tokens[class_id] = vector
 
-    def class_token_seq(self, class_id: int) -> TokenSequence:
-        seq = self._token_seqs.get(class_id)
-        if seq is None:
-            seq = TokenSequence(ad.constant(self.class_tokens[class_id].reshape(1, -1)))
-            self._token_seqs[class_id] = seq
-        return seq
+    def class_token_rows(self, class_ids) -> ad.Tensor:
+        """The class tokens of ``class_ids`` as one constant (K, d) matrix."""
+        return ad.constant(np.stack([self.class_tokens[cid] for cid in class_ids]))
 
     def seen_classes(self) -> list:
         return sorted(self.class_tokens)
@@ -197,14 +193,14 @@ def forward(state: LearnerState, batch, config: TrainConfig, selections=None):
     if selections is None:
         selections = [route(z, bank, config.c) for z in zs]
 
-    # Text embeddings repeat across images that share a selection; cache them
-    # for the duration of this forward pass.
+    # Images that share a selection share its (K, d) class embeddings; cache
+    # them for the duration of this forward pass.
     text_cache: dict = {}
-    class_seqs = [state.class_token_seq(cid) for cid in candidates]
+    class_rows = state.class_token_rows(candidates)
     entries = []
     lk_terms = []
     for sample, z, sel in zip(batch, zs, selections):
-        embs = class_text_embeddings(enc, bank, sel, class_seqs, text_cache)
+        embs = class_text_embeddings(enc, bank, sel, class_rows, text_cache)
         entries.append((z, label_index[sample.label], embs))
         if with_lk:
             lk_terms.append(key_matching_loss(z, sel, bank, config.distance))

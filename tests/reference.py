@@ -2,9 +2,11 @@
 
 The package computes the text tower and every cosine-logit vector as single
 fused tape nodes. These finer primitives rebuild the same arithmetic one
-operation per node; tests compare the fused nodes against them bit for bit
-and check each against central differences. ``score`` is the one-key form
-of ``bank.scores``, and ``predict_probabilities`` the softmax that
+operation per node; tests check each against central differences and pin
+the fused nodes to them: the cosine logits bit for bit, the prefix-shared
+text tower (which sums in another order) within 1e-12 relative.
+``text_tower`` is the per-sequence tower as a chain. ``score`` is the one-key
+form of ``bank.scores``, and ``predict_probabilities`` the softmax that
 ``classification_loss`` takes the log of.
 """
 
@@ -108,6 +110,18 @@ def softmax_logits(a) -> ad.Tensor:
         return ((g - dot) * y,)
 
     return ad.record("softmax_logits", (a,), ad.Tensor(y), grad_fn)
+
+
+def text_tower(encoders, x) -> ad.Tensor:
+    """The frozen text tower of one (s, d) token sequence, one primitive per step."""
+    psi = encoders.weights.psi
+    s, d = x.shape
+    xp = ad.add(x, ad.constant(psi["pos"][:s]))
+    scores = ad.scale(matmul(matmul(xp, ad.constant(psi["w_mix"])), transpose(xp)),
+                      1.0 / np.sqrt(d))
+    mixed = matmul(softmax_logits(scores), xp)
+    pooled = matmul(ad.constant(np.full(s, 1.0 / s)), mixed)
+    return matmul(ad.constant(psi["w_proj"]), pooled)
 
 
 def score(z: np.ndarray, key: np.ndarray) -> float:

@@ -100,7 +100,7 @@ def test_criterion_2_oracle_equivalence():
         worst = max(worst, float(np.abs(p - p_oracle).max() / np.abs(p_oracle).max()))
 
         label = int(g.integers(5))
-        lm = classification_loss([(z, label, [ad.constant(w) for w in embs])], tau).item()
+        lm = classification_loss([(z, label, ad.constant(np.stack(embs)))], tau).item()
         lm_oracle = -np.log(p_oracle[label])
         worst = max(worst, abs(lm - lm_oracle) / max(1.0, abs(lm_oracle)))
 
@@ -111,7 +111,7 @@ def test_criterion_2_oracle_equivalence():
         worst = max(worst, abs(lk - lk_oracle) / max(1.0, abs(lk_oracle)))
 
         lp = prompt_orthogonality_loss(bank, enc).item()
-        ws = [enc.encode_text(TokenSequence(ad.constant(p_))).values
+        ws = [enc.encode_text(TokenSequence(ad.constant(p_))).values[0]
               for p_ in bank.prompts.values]
         lp_oracle = sum(abs(cos(ws[i], ws[j]))
                         for i in range(6) for j in range(i + 1, 6)) / (6 * 5)
@@ -268,7 +268,7 @@ def test_criterion_7_synthetic_cdcl():
 
 def test_criterion_8_prompt_diversity_mechanism():
     def mean_abs_cos(state):
-        embs = [state.encoders.encode_text(TokenSequence(ad.constant(p))).values
+        embs = [state.encoders.encode_text(TokenSequence(ad.constant(p))).values[0]
                 for p in state.bank.prompts.values]
         n = len(embs)
         vals = []

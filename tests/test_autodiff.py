@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from attribank import autodiff as ad
+from attribank.encoders import FrozenEncoderPair, TokenSequence
 
 from conftest import rng
 from reference import cosine_sim, matmul, mul, softmax_logits, transpose
@@ -111,6 +112,8 @@ def test_fd_check_reports_non_finite():
 
 # Every differentiable primitive against central differences, many seeds.
 
+_TOWER = FrozenEncoderPair(d=4, image_width=4, seed=5, max_tokens=4)
+
 def _fd_cases(seed):
     g = rng(seed)
     x = g.standard_normal((3, 4))
@@ -125,6 +128,8 @@ def _fd_cases(seed):
     c4 = g.standard_normal(4)
     c2 = g.standard_normal(2)
     w12 = g.standard_normal(12)
+    tails = g.standard_normal((2, 4))
+    w24 = g.standard_normal((2, 4))
     cases = {
         "matmul_left": (x, lambda t: weighted_sum(matmul(t, ad.constant(m42)), w32)),
         "matmul_vec": (v, lambda t: weighted_sum(matmul(ad.constant(x), t), w3)),
@@ -139,10 +144,14 @@ def _fd_cases(seed):
             ad.concat([ad.take(t, 2), ad.take(t, 0), ad.take(t, 2)]), w12)),
         "cosine_sim": (v, lambda t: cosine_sim(t, ad.constant(c4))),
         "cosine_logits": (v, lambda t: weighted_sum(
-            ad.cosine_logits(t, [ad.constant(c4), ad.constant(w4)], -1.3), c2)),
-        # the differentiated tensor is two of the three entries
-        "cosine_logits_entries": (v, lambda t: weighted_sum(
-            ad.cosine_logits(ad.constant(c4), [t, ad.constant(w4), t], 0.7), w3)),
+            ad.cosine_logits(t, ad.constant(np.stack([c4, w4])), -1.3), c2)),
+        # the differentiated tensor is the rows, read out of order; row 1 gets nothing
+        "cosine_logits_entries": (x, lambda t: weighted_sum(
+            ad.cosine_logits(ad.constant(c4), ad.take(t, [2, 0]), 0.7), c2)),
+        "encode_text_prefix": (x, lambda t: weighted_sum(
+            _TOWER.encode_text(TokenSequence(t), ad.constant(tails)), w24)),
+        "encode_text_tails": (tails, lambda t: weighted_sum(
+            _TOWER.encode_text(TokenSequence(ad.constant(x)), t), w24)),
         "softmax_vec": (v, lambda t: weighted_sum(softmax_logits(t), w4)),
         "softmax_rows": (x, lambda t: weighted_sum(softmax_logits(t), wx)),
         "neg_log_prob": (v, lambda t: ad.neg_log_prob(t, 2)),
@@ -195,30 +204,28 @@ def test_cosine_logits_matches_scaled_cosine_chain_bit_for_bit():
 
     def grads(fused):
         a = ad.parameter(a0.copy())
-        bs = [ad.parameter(row.copy()) for row in b0]
+        b = ad.parameter(b0.copy())
         ad.reset_tape()
         if fused:
-            logits = ad.cosine_logits(a, bs, 2.5)
+            logits = ad.cosine_logits(a, b, 2.5)
         else:
-            logits = ad.concat([ad.scale(cosine_sim(a, b), 2.5) for b in bs])
+            logits = ad.concat([ad.scale(cosine_sim(a, ad.take(b, k)), 2.5) for k in range(4)])
         ad.backward(ad.neg_log_prob(mul(logits, ad.constant(w)), 1))
-        return logits.values, a.grad, [b.grad for b in bs]
+        return logits.values, a.grad, b.grad
 
     fused, chain = grads(True), grads(False)
-    np.testing.assert_array_equal(fused[0], chain[0])
-    np.testing.assert_array_equal(fused[1], chain[1])
-    for got, want in zip(fused[2], chain[2]):
+    for got, want in zip(fused, chain):
         np.testing.assert_array_equal(got, want)
 
 
 def test_cosine_logits_rejects_bad_inputs():
     v = ad.parameter(np.ones(3))
     with pytest.raises(ad.ShapeError):
-        ad.cosine_logits(v, [ad.constant(np.ones(4))], 1.0)
+        ad.cosine_logits(v, ad.constant(np.ones((1, 4))), 1.0)
     with pytest.raises(ad.ShapeError):
-        ad.cosine_logits(v, [], 1.0)
+        ad.cosine_logits(v, ad.constant(np.ones((0, 3))), 1.0)
     with pytest.raises(ad.NumericError):
-        ad.cosine_logits(v, [v], np.inf)
+        ad.cosine_logits(v, ad.constant(np.ones((1, 3))), np.inf)
 
 
 def test_tape_replay_is_bit_identical():
@@ -251,6 +258,10 @@ def test_take_row_out_of_range():
         ad.take(ad.parameter(np.zeros((2, 3))), 2)
     with pytest.raises(IndexError, match="take"):
         ad.take(ad.parameter(np.zeros((2, 3))), -1)
+    with pytest.raises(IndexError, match="take"):
+        ad.take(ad.parameter(np.zeros((2, 3))), [0, 2])
+    with pytest.raises(IndexError, match="take"):
+        ad.take(ad.parameter(np.zeros((2, 3))), [1, 1])
 
 
 def test_neg_log_prob_index_out_of_range():

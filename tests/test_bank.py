@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attribank import autodiff as ad
-from attribank.bank import compose_text_input, init_bank, route, scores, select_top_c
-from attribank.encoders import TokenSequence
+from attribank.bank import (class_text_embeddings, compose_text_input, init_bank, route, scores,
+                            select_top_c)
+from attribank.encoders import FrozenEncoderPair
 
 from conftest import rng
 from reference import cosine_sim, score
@@ -181,35 +182,29 @@ def test_select_negative_is_none_when_every_key_is_selected():
     assert route(np.ones(3), init_bank(1, 1, 3, seed=1), 1).negative is None
 
 
-def class_seq(d, seed=0):
-    return TokenSequence(ad.constant(rng(seed).standard_normal((1, d))))
-
-
 def test_compose_minimal_lengths():
     bank = init_bank(2, 1, 4, seed=5)
     sel = select_top_c(np.ones(4), bank, 1)
-    seq = compose_text_input(sel, bank, class_seq(4))
-    assert seq.length == 2
+    seq = compose_text_input(sel, bank)
+    assert seq.tokens.shape == (1, 4)
     np.testing.assert_array_equal(seq.tokens.values[0], bank.prompts.values[sel.indices[0], 0])
 
 
 def test_compose_reference_arity():
     bank = init_bank(10, 12, 16, seed=6)
     sel = select_top_c(rng(7).standard_normal(16), bank, 3)
-    seq = compose_text_input(sel, bank, class_seq(16))
-    assert seq.length == 3 * 12 + 1
+    seq = compose_text_input(sel, bank)
+    assert seq.tokens.shape == (3 * 12, 16)
 
 
 def test_compose_matches_list_append_oracle():
     for seed in range(20):
         bank = init_bank(5, 3, 6, seed=seed)
-        cls = class_seq(6, seed)
         sel = select_top_c(rng(seed).standard_normal(6), bank, 2)
-        seq = compose_text_input(sel, bank, cls)
+        seq = compose_text_input(sel, bank)
         rows = []
         for i in sel.indices:
             rows.extend(list(bank.prompts.values[i]))
-        rows.extend(list(cls.tokens.values))
         np.testing.assert_array_equal(seq.tokens.values, np.stack(rows))
 
 
@@ -217,10 +212,10 @@ def test_compose_ignores_unselected_prompt_mutation():
     bank = init_bank(4, 2, 5, seed=8)
     z = rng(9).standard_normal(5)
     sel = select_top_c(z, bank, 2)
-    before = compose_text_input(sel, bank, class_seq(5)).tokens.values.copy()
+    before = compose_text_input(sel, bank).tokens.values.copy()
     untouched = [i for i in range(4) if i not in sel.indices]
     bank.prompts.values[untouched[0]] += 99.0
-    after = compose_text_input(sel, bank, class_seq(5)).tokens.values
+    after = compose_text_input(sel, bank).tokens.values
     np.testing.assert_array_equal(before, after)
 
 
@@ -228,7 +223,7 @@ def test_compose_routes_gradient_to_selected_prompts_only():
     bank = init_bank(4, 2, 5, seed=10)
     z = rng(11).standard_normal(5)
     sel = select_top_c(z, bank, 2)
-    seq = compose_text_input(sel, bank, class_seq(5))
+    seq = compose_text_input(sel, bank)
     ad.backward(ad.sum_all(seq.tokens))
     for i in range(4):
         if i in sel.indices:
@@ -240,5 +235,6 @@ def test_compose_routes_gradient_to_selected_prompts_only():
 def test_compose_dimension_mismatch():
     bank = init_bank(3, 2, 5, seed=12)
     sel = select_top_c(np.ones(5), bank, 1)
+    enc = FrozenEncoderPair(d=5, image_width=5, seed=12, max_tokens=8)
     with pytest.raises(ad.ShapeError):
-        compose_text_input(sel, bank, class_seq(6))
+        class_text_embeddings(enc, bank, sel, ad.constant(rng(0).standard_normal((2, 6))), {})

@@ -241,6 +241,20 @@ def test_atrb_files_with_different_token_tables_exit_2(tmp_path, capsys, test_to
     assert "class-token table" in capsys.readouterr().err
 
 
+def test_test_records_of_an_untrained_task_exit_2(tmp_path, capsys):
+    tokens = {0: np.ones(4), 1: np.full(4, 2.0)}
+    train = [ImageSample(vector=np.ones(4), label=0, task_id=0),
+             ImageSample(vector=np.full(4, 0.5), label=0, task_id=0)]
+    paths = {"train": str(tmp_path / "train.atrb"), "test": str(tmp_path / "test.atrb")}
+    dio.write_embedding_file(paths["train"], train, tokens, 4)
+    dio.write_embedding_file(paths["test"], train + [ImageSample(vector=np.ones(4), label=1,
+                                                                 task_id=7)], tokens, 4)
+    cfg = write_config(tmp_path, data={"kind": "file", "train_path": paths["train"],
+                                       "test_path": paths["test"]})
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "task ids [7]" in capsys.readouterr().err
+
+
 def test_resume_refuses_rewritten_data_files(tmp_path, capsys):
     def write_files(seed):
         stream = dio.generate_synthetic(dio.SyntheticSpec(

@@ -5,7 +5,7 @@ from attribank import autodiff as ad
 from attribank.encoders import FrozenEncoderPair, ImageSample, TokenSequence
 
 from conftest import rng
-from reference import matmul, mul, softmax_logits, transpose
+from reference import mul, text_tower
 
 
 def make_pair(seed=0, d=8, width=6, max_tokens=12, backend="toy"):
@@ -67,7 +67,7 @@ def test_encode_text_deterministic():
     a = enc.encode_text(TokenSequence(ad.constant(tokens)))
     b = enc.encode_text(TokenSequence(ad.constant(tokens)))
     np.testing.assert_array_equal(a.values, b.values)
-    assert a.shape == (8,)
+    assert a.shape == (1, 8)
 
 
 def test_encode_text_gradient_matches_finite_differences():
@@ -100,32 +100,81 @@ def test_text_weights_receive_no_gradient():
     assert all(type(w) is np.ndarray for w in enc.weights.psi.values())
 
 
+def rel_err(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def tower_and_chain(enc, prefix, tails, weights):
+    """Values and (prefix, tails) gradients of the tower and of the per-class
+    primitive chain, both under the loss sum(weights * embeddings)."""
+    results = []
+    for fused in (True, False):
+        p, t = ad.parameter(prefix.copy()), ad.parameter(tails.copy())
+        ad.reset_tape()
+        if fused:
+            out = enc.encode_text(TokenSequence(p), t)
+        else:
+            out = ad.concat([text_tower(enc, ad.concat([p, ad.take(t, [k])]))
+                             for k in range(len(tails))])
+        ad.backward(ad.sum_all(mul(out, ad.constant(weights.reshape(out.shape)))))
+        results.append((out.values.reshape(-1), p.grad, t.grad))
+    return results
+
+
 def test_encode_text_matches_primitive_chain_bit_for_bit():
-    # The text tower is one fused node; it must agree exactly with the same
-    # network built from autodiff primitives, in value and input gradient.
+    # A single sequence is one fused node; it must agree exactly with the
+    # same network built from autodiff primitives, in value and input gradient.
     enc = make_pair(19)
     start = rng(20).standard_normal((5, 8))
-    psi = enc.weights.psi
-
-    def chain(x):
-        s = x.shape[0]
-        xp = ad.add(x, ad.constant(psi["pos"][:s]))
-        scores = ad.scale(matmul(matmul(xp, ad.constant(psi["w_mix"])), transpose(xp)),
-                          1.0 / np.sqrt(8))
-        mixed = matmul(softmax_logits(scores), xp)
-        pooled = matmul(ad.constant(np.full(s, 1.0 / s)), mixed)
-        return matmul(ad.constant(psi["w_proj"]), pooled)
-
     weights = rng(21).standard_normal(8)
     results = []
-    for encode in (lambda x: enc.encode_text(TokenSequence(x)), chain):
+    for fused in (True, False):
         x = ad.parameter(start.copy())
         ad.reset_tape()
-        out = encode(x)
-        ad.backward(ad.sum_all(mul(out, ad.constant(weights))))
-        results.append((out.values, x.grad))
+        out = enc.encode_text(TokenSequence(x)) if fused else text_tower(enc, x)
+        ad.backward(ad.sum_all(mul(out, ad.constant(weights.reshape(out.shape)))))
+        results.append((out.values.reshape(-1), x.grad))
     np.testing.assert_array_equal(results[0][0], results[1][0])
     np.testing.assert_array_equal(results[0][1], results[1][1])
+
+
+def test_encode_text_with_tails_matches_primitive_chain():
+    # The prefix-shared tower sums in another order than the per-sequence
+    # chain, so the pin is 1e-12 relative, in values and in both gradients.
+    d = 8
+    for prefix_len, k in [(0, 5), (11, 1), (12, 20), (36, 4), (36, 80)]:
+        for scale in (1.0, 30.0):
+            enc = make_pair(prefix_len + k, d=d, max_tokens=prefix_len + 1)
+            g = rng(100 * prefix_len + k)
+            prefix = g.standard_normal((prefix_len, d)) * scale
+            tails = g.standard_normal((k, d)) * scale
+            fused, chain = tower_and_chain(enc, prefix, tails, g.standard_normal(k * d))
+            assert fused[1].shape == prefix.shape
+            for got, want in zip(fused, chain):
+                if want.size:
+                    assert rel_err(got, want) <= 1e-12, (prefix_len, k, scale)
+
+
+def test_encode_text_keeps_a_shift_per_prompt_row_and_class():
+    # One shift per prompt row across all K class columns underflows here:
+    # some row's softmax denominator is exactly 0 for some class, so such a
+    # tower would return NaN. The per-(row, class) shift stays exact.
+    d, prefix_len, k = 32, 12, 20
+    enc = make_pair(0, d=d, max_tokens=prefix_len + 1)
+    g = rng(0)
+    prefix = g.standard_normal((prefix_len, d)) * 30.0
+    tails = g.standard_normal((k, d)) * 30.0
+    psi = enc.weights.psi
+    xp, xt = prefix + psi["pos"][:prefix_len], tails + psi["pos"][prefix_len]
+    xm = xp @ psi["w_mix"]
+    s_pp, s_pt = xm @ xp.T / np.sqrt(d), xm @ xt.T / np.sqrt(d)
+    shared = np.maximum(s_pp.max(axis=1), s_pt.max(axis=1))[:, None]
+    denominators = np.exp(s_pp - shared).sum(axis=1)[:, None] + np.exp(s_pt - shared)
+    assert (denominators == 0).any()
+    fused, chain = tower_and_chain(enc, prefix, tails, g.standard_normal(k * d))
+    for got, want in zip(fused, chain):
+        assert np.isfinite(got).all()
+        assert rel_err(got, want) <= 1e-12
 
 
 def test_encoder_weights_are_write_protected():
@@ -140,6 +189,12 @@ def test_encode_text_rejects_wrong_dim_and_overlong():
         enc.encode_text(TokenSequence(ad.constant(np.zeros((2, 5)))))
     with pytest.raises(ad.ShapeError, match="positional"):
         enc.encode_text(TokenSequence(ad.constant(np.zeros((5, 8)))))
+    with pytest.raises(ad.ShapeError, match="positional"):
+        enc.encode_text(TokenSequence(ad.constant(np.zeros((4, 8)))), ad.constant(np.zeros((2, 8))))
+    with pytest.raises(ad.ShapeError, match="tails"):
+        enc.encode_text(TokenSequence(ad.constant(np.zeros((2, 8)))), ad.constant(np.zeros((2, 5))))
+    with pytest.raises(ad.ShapeError, match="tail"):
+        enc.encode_text(TokenSequence(ad.constant(np.zeros((0, 8)))))
 
 
 def test_token_sequence_requires_matrix():

@@ -137,7 +137,7 @@ def test_evaluate_planted_samples_score_perfectly():
     planted = []
     for cid in state.seen_classes():
         seq = TokenSequence(ad.constant(state.class_tokens[cid].reshape(1, -1)))
-        w = state.encoders.encode_text(seq).values
+        w = state.encoders.encode_text(seq).values[0]
         # invert the toy image map approximately: plant features whose encoding
         # equals the class text embedding, via least squares
         w_img = state.encoders.weights.theta["w_image"]
@@ -158,16 +158,48 @@ def test_evaluate_matches_brute_force_scorer():
         z = state.encoders.encode_image(s)
         sel = select_top_c(z, state.bank, cfg.c)
         best_cid, best_score = None, -np.inf
+        prefix = compose_text_input(sel, state.bank.frozen_view()).tokens.values
         for cid in candidates:
-            seq = compose_text_input(sel, state.bank.frozen_view(),
-                                     TokenSequence(ad.constant(state.class_tokens[cid].reshape(1, -1))))
-            w = state.encoders.encode_text(seq).values
+            seq = TokenSequence(ad.constant(np.vstack([prefix, state.class_tokens[cid]])))
+            w = state.encoders.encode_text(seq).values[0]
             sc = float(np.dot(z, w) / (np.linalg.norm(z) * np.linalg.norm(w)))
             if sc > best_score:
                 best_cid, best_score = cid, sc
         correct += best_cid == s.label
     want = 100.0 * correct / len(samples)
     assert evaluate(state, samples, candidates) == want
+
+
+def test_evaluate_encodes_each_selection_once_whatever_the_class_count():
+    stream = tiny_stream(tasks=10)
+    state = prepared_state(stream, tiny_config())
+    samples = stream.all_test_samples()
+    unique = {select_top_c(state.encoders.encode_image(s), state.bank, 2).index_tuple
+              for s in samples}
+    assert len(unique) > 1
+    calls = []
+    encode = state.encoders.encode_text
+    state.encoders.encode_text = lambda seq, tails=None: calls.append(tails.shape) or encode(
+        seq, tails)
+    for candidates in (state.seen_classes()[:4], state.seen_classes()):
+        calls.clear()
+        evaluate(state, samples, candidates)
+        assert calls == [(len(candidates), 8)] * len(unique)
+
+
+def test_evaluate_large_group_matches_one_sample_at_a_time():
+    # One selection for every sample (shared prompt), so the group spans
+    # several cosine-matrix chunks.
+    stream = dio.generate_synthetic(dio.SyntheticSpec(
+        num_latent_attributes=6, attributes_per_class=2, num_tasks=3, classes_per_task=2,
+        samples_per_class=100, feature_dim=8, noise_sigma=0.3, seed=4))
+    state = prepared_state(stream, tiny_config(), mode="shared_prompt")
+    samples = stream.all_test_samples()
+    assert len(samples) == 600
+    cands = state.seen_classes()
+    hits = sum(evaluate(state, [s], cands) for s in samples) / 100.0
+    assert 0 < hits < len(samples)
+    assert evaluate(state, samples, cands) == 100.0 * hits / len(samples)
 
 
 def test_evaluate_invariant_to_candidate_order():

@@ -89,13 +89,13 @@ def test_probabilities_reject_non_finite():
         predict_probabilities(z, embs, tau)
 
 
-def as_tensors(embs):
-    return [ad.constant(w) for w in embs]
+def as_rows(embs):
+    return ad.constant(np.stack(embs))
 
 
 def test_classification_loss_single_class_is_zero():
     z, embs, tau = random_instance(6, k=1)
-    loss = classification_loss([(z, 0, as_tensors(embs))], tau)
+    loss = classification_loss([(z, 0, as_rows(embs))], tau)
     assert loss.item() == 0.0
 
 
@@ -103,7 +103,7 @@ def test_classification_loss_uniform_logits_is_log_k():
     z = rng(7).standard_normal(D)
     w = rng(8).standard_normal(D)
     for k in (2, 3, 7):
-        loss = classification_loss([(z, 0, as_tensors([w] * k))], tau=0.5)
+        loss = classification_loss([(z, 0, as_rows([w] * k))], tau=0.5)
         assert abs(loss.item() - np.log(k)) < 1e-9
 
 
@@ -112,7 +112,7 @@ def test_classification_loss_matches_cross_entropy_oracle():
         g = rng(seed)
         z, embs, tau = random_instance(seed, k=4, tau=0.07)
         label = int(g.integers(4))
-        got = classification_loss([(z, label, as_tensors(embs))], tau).item()
+        got = classification_loss([(z, label, as_rows(embs))], tau).item()
         assert abs(got - cross_entropy_oracle(z, label, embs, tau)) <= 1e-10 * max(1.0, got)
 
 
@@ -123,7 +123,7 @@ def test_classification_loss_batch_is_mean():
         g = rng(100 + seed)
         z, embs, tau = random_instance(100 + seed, k=3, tau=0.2)
         label = int(g.integers(3))
-        entries.append((z, label, as_tensors(embs)))
+        entries.append((z, label, as_rows(embs)))
         expected.append(cross_entropy_oracle(z, label, embs, 0.2))
     got = classification_loss(entries, 0.2).item()
     np.testing.assert_allclose(got, np.mean(expected), rtol=1e-10)
@@ -132,7 +132,7 @@ def test_classification_loss_batch_is_mean():
 def test_classification_loss_label_out_of_range():
     z, embs, tau = random_instance(9)
     with pytest.raises(IndexError):
-        classification_loss([(z, len(embs), as_tensors(embs))], tau)
+        classification_loss([(z, len(embs), as_rows(embs))], tau)
 
 
 def test_key_matching_collinear_keys_give_zero():
@@ -222,7 +222,7 @@ class StubEncoder:
         self.calls = 0
 
     def encode_text(self, seq):
-        out = ad.constant(self.embeddings[self.calls])
+        out = ad.constant(self.embeddings[self.calls][None])
         self.calls += 1
         return out
 
@@ -244,7 +244,7 @@ def test_prompt_orthogonality_matches_double_loop_oracle():
     enc = make_encoder(22)
     for seed in range(30):
         bank = init_bank(4, 2, D, seed=seed)
-        embs = [enc.encode_text(TokenSequence(ad.constant(p))).values
+        embs = [enc.encode_text(TokenSequence(ad.constant(p))).values[0]
                 for p in bank.prompts.values]
         want = 0.0
         for i in range(4):

@@ -7,12 +7,13 @@ import pytest
 
 from attribank import autodiff as ad
 from attribank import data_io as dio
-from attribank.bank import scores, select_top_c
-from attribank.encoders import ImageSample
+from attribank.bank import class_text_embeddings, scores, select_top_c
+from attribank.encoders import ImageSample, TokenSequence
 from attribank.trainer import (SequenceError, TrainConfig, forward, init_state, lr_at,
                                run_sequence, train_step, train_task)
 
-from conftest import RecordingList
+from conftest import RecordingList, rng
+from reference import mul, text_tower
 
 
 def tiny_stream(seed=1, tasks=2, classes=2, samples=6, dim=8):
@@ -135,11 +136,10 @@ def test_train_step_matches_fd_sgd_oracle():
                                          prompt_orthogonality_loss, total_loss)
         ad.reset_tape()
         candidates = state.seen_classes()
-        embs = []
-        for cid in candidates:
-            from attribank.bank import compose_text_input
-            seq = compose_text_input(frozen_sel, state.bank, state.class_token_seq(cid))
-            embs.append(state.encoders.encode_text(seq))
+        from attribank.bank import compose_text_input
+        prefix = compose_text_input(frozen_sel, state.bank).tokens
+        embs = ad.concat([state.encoders.encode_text(TokenSequence(ad.concat(
+            [prefix, ad.constant(state.class_tokens[cid][None])]))) for cid in candidates])
         l_m = classification_loss([(z, candidates.index(batch[0].label), embs)], cfg.tau)
         l_k = key_matching_loss(z, frozen_sel, state.bank, cfg.distance)
         l_p = prompt_orthogonality_loss(state.bank, state.encoders)
@@ -166,6 +166,33 @@ def test_train_step_matches_fd_sgd_oracle():
     for p, start, g in zip(params, starts, fd_grads):
         expected = start - cfg.lr0 * g
         assert np.abs(p.values - expected).max() <= 1e-10
+
+
+def test_training_class_embeddings_keep_the_unshared_arithmetic_bit_for_bit():
+    # Training's trajectory amplifies a one-ulp change, so on a parameter bank
+    # every class must stay its own sequence through the unshared tower: the
+    # values and the prompt gradient equal the per-class primitive chain.
+    stream = tiny_stream(tasks=2, classes=3)
+    state = prepared_state(stream, tiny_config(n=5, m=2, c=3))
+    sel = select_top_c(state.encoders.encode_image(stream.tasks[0].train[0]), state.bank, 3)
+    candidates = state.seen_classes()
+    weights = rng(3).standard_normal(len(candidates) * 8)
+    results = []
+    for fused in (True, False):
+        ad.reset_tape()
+        state.bank.prompts.grad = None
+        if fused:
+            embs = class_text_embeddings(state.encoders, state.bank, sel,
+                                         state.class_token_rows(candidates), {})
+        else:
+            embs = ad.concat([text_tower(state.encoders, ad.concat(
+                [ad.take(state.bank.prompts, i) for i in sel.indices]
+                + [ad.constant(state.class_tokens[cid][None])])) for cid in candidates])
+        ad.backward(ad.sum_all(mul(embs, ad.constant(weights.reshape(embs.shape)))))
+        results.append((embs.values.reshape(-1), state.bank.prompts.grad.copy()))
+    ad.reset_tape()
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_train_task_empty_dataset_errors_without_state_change():
