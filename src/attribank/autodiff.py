@@ -222,10 +222,11 @@ def cosine_logits(a: Tensor, b, alpha: float) -> Tensor:
     if not b.shape[0]:
         raise ShapeError("cosine_logits: no rows")
     av, bv = a.values, b.values
-    # One dot product per row, as the per-pair chain computes it.
+    # One dot product per row, as the per-pair chain computes it: vecdot
+    # equals a loop of 1-D np.dot.
     na = np.sqrt(np.dot(av, av) + NORM_EPS)
-    nb = np.sqrt(np.array([np.dot(row, row) for row in bv]) + NORM_EPS)
-    c = np.array([np.dot(av, row) for row in bv]) / (na * nb)
+    nb = np.sqrt(np.vecdot(bv, bv) + NORM_EPS)
+    c = np.vecdot(av, bv) / (na * nb)
     out = Tensor(c * alpha)
 
     def grad_fn(g):
@@ -305,11 +306,16 @@ def mean_all(a: Tensor) -> Tensor:
 # backward pass and verification
 
 
+# Nodes whose backward may add into rows of an input's buffer in place: ``take``,
+# and the text tower reading a selection's prompt rows.
+_IN_PLACE = ("take", "encode_text")
+
+
 def backward(loss: Tensor) -> None:
     """Populate gradients of the requires_grad tensors on the active tape.
 
-    Every leaf on the tape (and every input of a ``take``, which accumulates
-    into its input's buffer in place) gets a fresh zero buffer first, so
+    Every leaf on the tape (and every input of a node that accumulates into
+    its input's buffer in place) gets a fresh zero buffer first, so
     leaves unreachable from the loss end with exact zero gradients and
     replaying the same tape is bit-stable. Intermediate outputs get a buffer
     only when the loss reaches them: their first gradient is stored as is,
@@ -323,7 +329,7 @@ def backward(loss: Tensor) -> None:
         node.output.grad = None
         outputs.add(id(node.output))
     owned = [t for node in nodes for t in node.inputs
-             if t.requires_grad and (node.op == "take" or id(t) not in outputs)]
+             if t.requires_grad and (node.op in _IN_PLACE or id(t) not in outputs)]
     for t in owned:
         t.grad = None
     for t in owned:

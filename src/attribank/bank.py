@@ -138,25 +138,26 @@ def class_text_embeddings(encoders, bank: AttributeBank | None, sel: Selection |
     """Text embeddings of every candidate class under one selection, as one (K, d) tensor.
 
     ``class_rows`` holds the K candidates' class tokens, one per row, and
-    ``cache`` keeps one entry per selection. With no selection the prefix is
+    ``cache`` keeps one entry per selection. A cache miss is one
+    ``encode_text`` call, one tape node, whose sequences are the selection's
+    prompts followed by each class token. With no selection the prefix is
     empty and the class tokens are encoded alone.
 
-    On ``frozen_view()`` (evaluation) a cache miss is one ``encode_text``
-    call: the selection's prompt prefix against all K class tokens. On a
-    parameter bank (training) each class is its own sequence with its own
-    reads of the prompts, so training's values and the order its prompt
-    gradients are summed in stay those of the unshared tower, bit for bit.
+    On ``frozen_view()`` (evaluation) the call encodes the composed prefix
+    against all K class tokens prefix-shared. On a parameter bank (training)
+    the tower reads the selected rows of ``bank.prompts`` itself and runs
+    each class's sequence unshared, stacked: training's values and the
+    order its prompt gradients are summed in stay those of K separate
+    sequences, bit for bit.
     """
     key = None if sel is None else sel.index_tuple
     embs = cache.get(key)
     if embs is None:
-        if sel is not None and bank.prompts.requires_grad:
-            embs = ad.concat([encoders.encode_text(TokenSequence(ad.concat(
-                [ad.take(bank.prompts, i) for i in sel.indices] + [class_rows.values[k:k + 1]])))
-                for k in range(class_rows.shape[0])])
+        if sel is None:
+            prefix = TokenSequence(ad.constant(np.zeros((0, class_rows.shape[1]))))
+        elif bank.prompts.requires_grad:
+            prefix = TokenSequence(bank.prompts, sel.indices)
         else:
-            prefix = (TokenSequence(ad.constant(np.zeros((0, class_rows.shape[1]))))
-                      if sel is None else compose_text_input(sel, bank))
-            embs = encoders.encode_text(prefix, class_rows)
-        cache[key] = embs
+            prefix = compose_text_input(sel, bank)
+        embs = cache[key] = encoders.encode_text(prefix, class_rows)
     return embs

@@ -15,10 +15,14 @@ The text encoder is a deliberately small, order-sensitive network:
 Its weights are frozen; gradients flow only into the input tokens, which is
 exactly the property prompt tuning relies on.
 
-``encode_text(prefix, tails)`` embeds K sequences that share one prefix and
+``encode_text`` embeds a stack of sequences as one tape node, in one of two
+arithmetics. Evaluation encodes K sequences that share one prefix and
 differ in their last token, such as one selection's prompts followed by
-each candidate's class token, as one tape node. The prefix's scores are
-computed once; each tail adds one score row and one score column.
+each candidate's class token, prefix-shared: the prefix's scores are
+computed once, and each tail adds one score row and one score column.
+Training runs every sequence through the tower on its own, stacked over a
+(K, s, d) array with numpy forms that equal their per-slice calls, so its
+values and gradients are those of one sequence at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,14 +49,26 @@ class ImageSample:
 
 @dataclass
 class TokenSequence:
-    """Ordered token matrix of shape (length, dim), possibly on the tape; an
-    empty (0, dim) matrix is the prefix of a learner without a bank."""
+    """Ordered tokens, possibly on the tape.
+
+    ``tokens`` is an (s, d) matrix, one sequence (an empty (0, d) matrix is
+    the prefix of a learner without a bank), or an (n, m, d) stack of n
+    sequences. With ``rows`` the one sequence is the stack entries ``rows``
+    in that order, such as a selection's prompts in ``bank.prompts``; the
+    text tower reads them itself.
+    """
 
     tokens: ad.Tensor
+    rows: list | None = None
 
     def __post_init__(self):
-        if self.tokens.values.ndim != 2:
-            raise ad.ShapeError(f"TokenSequence expects a (length, dim) matrix, got {self.tokens.shape}")
+        shape = self.tokens.shape
+        if len(shape) not in (2, 3) or (self.rows is not None and len(shape) != 3):
+            raise ad.ShapeError(f"TokenSequence expects a (length, dim) matrix or an "
+                                f"(n, m, dim) stack, which rows need, got {shape}")
+        if self.rows is not None and (len(set(self.rows)) != len(self.rows)
+                                      or not all(0 <= i < shape[0] for i in self.rows)):
+            raise IndexError(f"TokenSequence: rows {self.rows} out of range or repeated for {shape}")
 
 
 @dataclass
@@ -122,17 +138,24 @@ class FrozenEncoderPair:
     def encode_text(self, seq: TokenSequence, tails: ad.Tensor | None = None) -> ad.Tensor:
         """Embed ``[seq; t_k]`` for every row t_k of the (K, d) ``tails``, as one (K, d) node.
 
-        With no ``tails`` the last row of ``seq`` is the one tail: the result is
-        (1, d), computed by the unshared tower that training runs on
-        (``_encode_sequence``). Differentiable w.r.t. ``seq`` and ``tails`` only.
+        Differentiable w.r.t. the tokens and ``tails`` only. A plain (L, d)
+        prefix with ``tails`` (evaluation) is encoded prefix-shared, below.
+        Every other form runs each of its sequences through the unshared
+        tower, stacked (``_encode_unshared``):
 
-        With ``tails``, every sequence shares its first L = len(seq) rows, so
-        the L x L prefix block of the scores is computed once; each tail adds
-        one score column (to every prefix row) and one score row. Prefix row
-        i of sequence k takes the shift max(row max of the block, its score
-        against tail k), the shift of the unshared softmax. With
-        A = E_PP xp_P the shared block's attention mass, the pooled vector of
-        sequence k is
+        * an (s, d) matrix with no ``tails`` is one sequence whose last row is
+          its tail, and gives (1, d); an (n, m, d) stack gives one row per
+          entry (the standalone prompts);
+        * ``seq.rows`` with ``tails`` (training) gives one row per tail, each
+          sequence the stack entries ``rows`` followed by its tail.
+
+        With ``tails`` on a plain prefix, every sequence shares its first
+        L = len(seq) rows, so the L x L prefix block of the scores is computed
+        once; each tail adds one score column (to every prefix row) and one
+        score row. Prefix row i of sequence k takes the shift max(row max of
+        the block, its score against tail k), the shift of the unshared
+        softmax. With A = E_PP xp_P the shared block's attention mass, the
+        pooled vector of sequence k is
 
             (sum_i R_ik u_ik A_i + (sum_i R_ik w_ik + a_kk) xp_k + a_kP xp_P) / (L + 1)
 
@@ -142,18 +165,19 @@ class FrozenEncoderPair:
         agree with the unshared tower to about 1e-15 relative, not bit for bit.
         """
         x = seq.tokens
-        if x.shape[1] != self.d:
-            raise ad.ShapeError(f"encode_text: token dim {x.shape[1]} != encoder dim {self.d}")
-        n = x.shape[0] if tails is not None else x.shape[0] - 1
-        if n < 0:
-            raise ad.ShapeError("encode_text: no tail row")
-        if n + 1 > self.max_tokens:
-            raise ad.ShapeError(
-                f"encode_text: sequence length {n + 1} exceeds positional table ({self.max_tokens})")
-        if tails is None:
-            return self._encode_sequence(x)
-        if tails.values.ndim != 2 or tails.shape[1] != self.d:
+        if x.shape[-1] != self.d:
+            raise ad.ShapeError(f"encode_text: token dim {x.shape[-1]} != encoder dim {self.d}")
+        if tails is not None and (tails.values.ndim != 2 or tails.shape[1] != self.d):
             raise ad.ShapeError(f"encode_text: tails must be (K, {self.d}), got {tails.shape}")
+        n = x.shape[-2] if seq.rows is None else len(seq.rows) * x.shape[1]
+        length = n + (tails is not None)
+        if length < 1:
+            raise ad.ShapeError("encode_text: no tail row")
+        if length > self.max_tokens:
+            raise ad.ShapeError(
+                f"encode_text: sequence length {length} exceeds positional table ({self.max_tokens})")
+        if tails is None or seq.rows is not None or x.values.ndim == 3:
+            return self._encode_unshared(seq, tails)
         psi, alpha = self.weights.psi, self._inv_sqrt_d
         mix, proj = psi["w_mix"], psi["w_proj"]
         xp = x.values + psi["pos"][:n]      # (L, d), shared
@@ -198,32 +222,61 @@ class FrozenEncoderPair:
 
         return ad.record("encode_text", (x, tails), ad.Tensor(pooled @ proj.T), grad_fn)
 
-    def _encode_sequence(self, x: ad.Tensor) -> ad.Tensor:
-        """One sequence through the tower, as one (1, d) node.
+    def _encode_unshared(self, seq: TokenSequence, tails: ad.Tensor | None) -> ad.Tensor:
+        """Every sequence of ``seq`` (and ``tails``) through the tower on its own, as one node.
 
-        Its arithmetic, forward and backward, is that of the primitive chain
-        add, matmul, transpose, matmul, scale, softmax_logits, matmul, matmul,
-        matmul, bit for bit. Training runs on it: the prompt updates amplify
-        a one-ulp change in the embeddings until the accuracies move, so the
-        prefix-shared arithmetic is kept out of the training path.
+        The sequences are stacked into one (K, s, d) array and pass through
+        stacked ``@``, ``np.matmul(vector, stack)``, ``matrix @ stack[..., None]``
+        and elementwise steps, each of which equals its per-slice call. So
+        every row, forward and backward, is that of the primitive chain add,
+        matmul, transpose, matmul, scale, softmax_logits, matmul, matmul,
+        matmul on its sequence alone, bit for bit. Training runs on it: the
+        prompt updates amplify a one-ulp change in the embeddings until the
+        accuracies move, so the prefix-shared arithmetic stays out of it.
+
+        With ``seq.rows`` the node reads the rows of the stack itself and adds
+        each sequence's gradient into them in place, for k = K-1 ... 0: the
+        order in which K per-sequence reads of those rows would add it.
         """
-        s = x.shape[0]
+        x, rows = seq.tokens, seq.rows
+        if rows is not None:
+            xs = x.values[rows].reshape(1, -1, self.d)
+        elif x.values.ndim == 2:
+            xs = x.values[None]
+        elif tails is None:
+            xs = x.values
+        else:
+            raise ad.ShapeError("encode_text: tails need an (L, d) prefix or rows of a stack")
+        n = xs.shape[1]
+        if tails is not None:
+            xs = np.concatenate([np.broadcast_to(xs, (tails.shape[0], n, self.d)),
+                                 tails.values[:, None]], axis=1)
+        s = xs.shape[1]
         psi, alpha = self.weights.psi, self._inv_sqrt_d
         mix, proj = psi["w_mix"], psi["w_proj"]
-        xp = x.values + psi["pos"][:s]
-        xp_t = np.ascontiguousarray(xp.T)
+        xp = xs + psi["pos"][:s]
+        xp_t = np.ascontiguousarray(xp.mT)
         xm = xp @ mix
         scores = (xm @ xp_t) * alpha
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         attn = e / e.sum(axis=-1, keepdims=True)
         pool = np.full(s, 1.0 / s)
-        pooled = pool @ (attn @ xp)  # (s,) @ (s,d) -> (d,)
+        pooled = np.matmul(pool, attn @ xp)  # (s,) @ (K, s, d) -> (K, d)
 
         def grad_fn(g):
-            g_mixed = np.outer(pool, proj.T @ g[0])
-            g_attn = g_mixed @ xp.T
+            g_mixed = pool[:, None] * (proj.T @ g[..., None]).mT  # one outer product per row
+            g_attn = g_mixed @ xp.mT
             g_scores = ((g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * attn) * alpha
-            g_xp = attn.T @ g_mixed + (xm.T @ g_scores).T
-            return (g_xp + (g_scores @ xp_t.T) @ mix.T,)
+            g_xp = attn.mT @ g_mixed + (xm.mT @ g_scores).mT
+            g_xs = g_xp + (g_scores @ xp_t.mT) @ mix.T
+            if rows is None:  # then there are no tails
+                return (g_xs.reshape(x.shape),)
+            if x.requires_grad:
+                acc = x.grad[rows].reshape(n, self.d)
+                for g_k in g_xs[::-1, :n]:
+                    acc += g_k
+                x.grad[rows] = acc.reshape(len(rows), -1, self.d)
+            return None, None if tails is None else g_xs[:, n]
 
-        return ad.record("encode_text", (x,), ad.Tensor((proj @ pooled)[None]), grad_fn)
+        out = ad.Tensor((proj @ pooled[..., None])[..., 0])
+        return ad.record("encode_text", (x,) if tails is None else (x, tails), out, grad_fn)

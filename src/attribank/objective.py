@@ -94,15 +94,15 @@ def key_matching_loss(z: np.ndarray, sel: Selection, bank: AttributeBank,
 def prompt_orthogonality_loss(bank: AttributeBank, text_encoder) -> ad.Tensor:
     """Mean |cosine| over all ordered prompt-embedding pairs.
 
-    Every prompt is encoded standalone (no class token); the sum runs over the
-    upper triangle and is normalized by n*(n-1), so two identical prompts in a
-    bank of two give 0.5. Defined as 0 for a single-entry bank.
+    Every prompt is encoded standalone (no class token), all n as one (n, d)
+    node; the sum runs over the upper triangle and is normalized by n*(n-1),
+    so two identical prompts in a bank of two give 0.5. Defined as 0 for a
+    single-entry bank.
     """
     n = bank.n
     if n == 1:
         return ad.constant(0.0)
-    embs = ad.concat([text_encoder.encode_text(TokenSequence(ad.take(bank.prompts, i)))
-                      for i in range(n)])
+    embs = text_encoder.encode_text(TokenSequence(bank.prompts))
     # Row i holds the pairs (i, j) for j > i, so the concat is the upper
     # triangle in row-major order.
     pairs = [ad.cosine_logits(ad.take(embs, i), ad.take(embs, range(i + 1, n)), 1.0)

@@ -3,9 +3,11 @@
 The package computes the text tower and every cosine-logit vector as single
 fused tape nodes. These finer primitives rebuild the same arithmetic one
 operation per node; tests check each against central differences and pin
-the fused nodes to them: the cosine logits bit for bit, the prefix-shared
-text tower (which sums in another order) within 1e-12 relative.
-``text_tower`` is the per-sequence tower as a chain. ``score`` is the one-key
+the fused nodes to them: the cosine logits and the unshared text tower bit
+for bit, the prefix-shared text tower (which sums in another order) within
+1e-12 relative.
+``text_tower`` is the per-sequence tower as a chain, and ``ChainTower`` the
+stacked unshared tower as one such chain per sequence. ``score`` is the one-key
 form of ``bank.scores``, and ``predict_probabilities`` the softmax that
 ``classification_loss`` takes the log of.
 """
@@ -122,6 +124,35 @@ def text_tower(encoders, x) -> ad.Tensor:
     mixed = matmul(softmax_logits(scores), xp)
     pooled = matmul(ad.constant(np.full(s, 1.0 / s)), mixed)
     return matmul(ad.constant(psi["w_proj"]), pooled)
+
+
+def stack(vectors) -> ad.Tensor:
+    """(d,) tensors as the rows of one (n, d) tensor; no arithmetic."""
+
+    def grad_fn(g):
+        return tuple(g)
+
+    return ad.record("stack", tuple(vectors), ad.Tensor(np.stack([v.values for v in vectors])),
+                     grad_fn)
+
+
+class ChainTower:
+    """``encode_text`` of the stacked unshared tower, built as one ``text_tower``
+    chain per sequence: every sequence reads its stack entries with its own
+    ``take``s, as the training path did before it was one node."""
+
+    def __init__(self, encoders):
+        self.encoders = encoders
+
+    def encode_text(self, seq, tails=None):
+        x = seq.tokens
+        if seq.rows is not None:
+            return stack([text_tower(self.encoders, ad.concat(
+                [ad.take(x, i) for i in seq.rows] + [tails.values[k:k + 1]]))
+                for k in range(tails.shape[0])])
+        if x.values.ndim == 3:
+            return stack([text_tower(self.encoders, ad.take(x, i)) for i in range(x.shape[0])])
+        return stack([text_tower(self.encoders, x)])
 
 
 def score(z: np.ndarray, key: np.ndarray) -> float:

@@ -198,24 +198,23 @@ def test_backward_is_linear():
 
 
 def test_cosine_logits_matches_scaled_cosine_chain_bit_for_bit():
-    g = rng(13)
-    a0, b0 = g.standard_normal(5), g.standard_normal((4, 5))
-    w = g.standard_normal(4)
-
-    def grads(fused):
+    def grads(fused, a0, b0, w):
+        k = len(b0)
         a = ad.parameter(a0.copy())
         b = ad.parameter(b0.copy())
         ad.reset_tape()
         if fused:
             logits = ad.cosine_logits(a, b, 2.5)
         else:
-            logits = ad.concat([ad.scale(cosine_sim(a, ad.take(b, k)), 2.5) for k in range(4)])
-        ad.backward(ad.neg_log_prob(mul(logits, ad.constant(w)), 1))
+            logits = ad.concat([ad.scale(cosine_sim(a, ad.take(b, i)), 2.5) for i in range(k)])
+        ad.backward(ad.neg_log_prob(mul(logits, ad.constant(w)), k // 2))
         return logits.values, a.grad, b.grad
 
-    fused, chain = grads(True), grads(False)
-    for got, want in zip(fused, chain):
-        np.testing.assert_array_equal(got, want)
+    for k, d in [(4, 5), (1, 32), (20, 32), (80, 32)]:
+        g = rng(13 + k)
+        inputs = g.standard_normal(d), g.standard_normal((k, d)), g.standard_normal(k)
+        for got, want in zip(grads(True, *inputs), grads(False, *inputs)):
+            np.testing.assert_array_equal(got, want, err_msg=f"K={k} d={d}")
 
 
 def test_cosine_logits_rejects_bad_inputs():

@@ -455,3 +455,38 @@ def test_report_fixture_mode_recomputes_printed_transfers(capsys):
     bt = by_key[("backward_transfer", "attriclip")]
     assert float(bt[6]) == pytest.approx(7.0, abs=0.05)
     assert all(r[7] == "ok" for r in rows)
+
+
+class _Cut(BaseException):
+    """Ends a run the way a killed process would: no handler in the CLI sees it."""
+
+
+def _run_outputs(out):
+    names = ["metrics.json", "accuracy_matrix.json", "accuracy_matrix.csv"]
+    names += [os.path.join("task_reports", f) for f in sorted(os.listdir(out / "task_reports"))]
+    return {name: (out / name).read_bytes() for name in names}
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_resume_from_every_task_boundary_matches_straight_run(tmp_path, monkeypatch, mode):
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "demo_3task.json")
+    full = tmp_path / "full"
+    assert cli.main(["train", "--config", cfg, "--out", str(full), "--mode", mode]) == 0
+    want = _run_outputs(full)
+    assert len(want) == 3 + 3
+    write_checkpoint = dio.write_checkpoint
+    for cut in range(3):
+        def write_then_cut(state, config, path, cut=cut):
+            write_checkpoint(state, config, path)
+            if path.endswith(f"after_task_{cut:02d}.ckpt"):
+                raise _Cut
+        partial = tmp_path / f"cut_after_{cut}"
+        monkeypatch.setattr(dio, "write_checkpoint", write_then_cut)
+        with pytest.raises(_Cut):
+            cli.main(["train", "--config", cfg, "--out", str(partial), "--mode", mode])
+        monkeypatch.undo()
+        assert not (partial / "metrics.json").exists()
+        assert len(os.listdir(partial / "checkpoints")) == cut + 1
+        assert cli.main(["train", "--config", cfg, "--out", str(partial), "--mode", mode,
+                         "--resume"]) == 0
+        assert _run_outputs(partial) == want, f"cut after task {cut}"

@@ -200,3 +200,22 @@ def test_encode_text_rejects_wrong_dim_and_overlong():
 def test_token_sequence_requires_matrix():
     with pytest.raises(ad.ShapeError):
         TokenSequence(ad.constant(np.zeros(4)))
+
+
+def test_stacked_sequences_check_their_shapes():
+    enc = make_pair(18, max_tokens=6)
+    stack = ad.constant(np.zeros((4, 2, 8)))
+    class_rows = ad.constant(np.zeros((3, 8)))
+    assert enc.encode_text(TokenSequence(stack, [2, 0]), class_rows).shape == (3, 8)
+    assert enc.encode_text(TokenSequence(stack)).shape == (4, 8)
+    with pytest.raises(ad.ShapeError, match="positional"):
+        enc.encode_text(TokenSequence(stack, [2, 0, 1]), class_rows)
+    with pytest.raises(ad.ShapeError, match="tails"):
+        enc.encode_text(TokenSequence(stack), class_rows)
+    with pytest.raises(ad.ShapeError, match="tails"):
+        enc.encode_text(TokenSequence(stack, [1]), ad.constant(np.zeros((3, 5))))
+    with pytest.raises(ad.ShapeError):
+        TokenSequence(ad.constant(np.zeros((2, 8))), [0])
+    for rows in ([0, 0], [4], [-1]):
+        with pytest.raises(IndexError):
+            TokenSequence(stack, rows)

@@ -215,16 +215,14 @@ def test_key_matching_triplet_rejects_full_selection():
 
 
 class StubEncoder:
-    """Returns preset embeddings per prompt, in call order."""
+    """Returns one preset embedding per prompt, all n from one call."""
 
     def __init__(self, embeddings):
-        self.embeddings = list(embeddings)
-        self.calls = 0
+        self.embeddings = np.stack(embeddings)
 
     def encode_text(self, seq):
-        out = ad.constant(self.embeddings[self.calls][None])
-        self.calls += 1
-        return out
+        assert seq.tokens.shape[0] == len(self.embeddings)
+        return ad.constant(self.embeddings)
 
 
 def test_prompt_orthogonality_orthogonal_pair_is_zero():

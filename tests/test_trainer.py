@@ -7,13 +7,14 @@ import pytest
 
 from attribank import autodiff as ad
 from attribank import data_io as dio
-from attribank.bank import class_text_embeddings, scores, select_top_c
-from attribank.encoders import ImageSample, TokenSequence
+from attribank.bank import Selection, class_text_embeddings, init_bank, route, scores, select_top_c
+from attribank.encoders import FrozenEncoderPair, ImageSample, TokenSequence
+from attribank.objective import prompt_orthogonality_loss
 from attribank.trainer import (SequenceError, TrainConfig, forward, init_state, lr_at,
                                run_sequence, train_step, train_task)
 
 from conftest import RecordingList, rng
-from reference import mul, text_tower
+from reference import ChainTower, mul
 
 
 def tiny_stream(seed=1, tasks=2, classes=2, samples=6, dim=8):
@@ -170,29 +171,53 @@ def test_train_step_matches_fd_sgd_oracle():
 
 def test_training_class_embeddings_keep_the_unshared_arithmetic_bit_for_bit():
     # Training's trajectory amplifies a one-ulp change, so on a parameter bank
-    # every class must stay its own sequence through the unshared tower: the
-    # values and the prompt gradient equal the per-class primitive chain.
-    stream = tiny_stream(tasks=2, classes=3)
-    state = prepared_state(stream, tiny_config(n=5, m=2, c=3))
-    sel = select_top_c(state.encoders.encode_image(stream.tasks[0].train[0]), state.bank, 3)
-    candidates = state.seen_classes()
-    weights = rng(3).standard_normal(len(candidates) * 8)
-    results = []
-    for fused in (True, False):
+    # the stacked tower must equal one primitive chain per sequence, at the
+    # benchmark's sizes and K = 4 ... 80 classes: in values, and in the prompt
+    # gradient. L_p's node (all n = 10 standalone prompts) comes last on the
+    # tape, so it has written to every prompt row before the class embeddings
+    # add into them; two selections share row 4.
+    c, m, d, n = 3, 12, 32, 10
+    sels = [Selection([0, 4, 7]), Selection([4, 2, 9])]
+    for k in (4, 20, 40, 80):
+        enc = FrozenEncoderPair(d=d, image_width=d, seed=k, max_tokens=c * m + 16)
+        g = rng(k)
+        class_rows = ad.constant(g.standard_normal((k, d)))
+        weights = g.standard_normal((len(sels), k, d))
+        results = []
+        for tower in (enc, ChainTower(enc)):
+            bank = init_bank(n, m, d, seed=k)
+            ad.reset_tape()
+            embs = [class_text_embeddings(tower, bank, sel, class_rows, {}) for sel in sels]
+            loss = prompt_orthogonality_loss(bank, tower)
+            for e, w in zip(embs, weights):
+                loss = ad.add(loss, ad.sum_all(mul(e, ad.constant(w))))
+            ad.backward(loss)
+            results.append([e.values for e in embs] + [loss.values, bank.prompts.grad])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want, err_msg=f"K={k}")
+
+
+def test_forward_puts_one_tower_node_per_selection_whatever_the_class_count():
+    stream = tiny_stream(tasks=10, classes=2)
+    cfg = tiny_config(n=6, c=2)
+    batch = stream.tasks[0].train + stream.tasks[1].train
+    selections = None
+    lengths = []
+    for seen in (stream.tasks[0].class_ids + stream.tasks[1].class_ids, stream.all_class_ids()):
+        state = init_state("attriclip", cfg, stream)
+        for cid in seen:
+            state.register_class(cid, stream.class_tokens[cid])
+        if selections is None:
+            selections = [route(state.encoders.encode_image(s), state.bank, cfg.c) for s in batch]
         ad.reset_tape()
-        state.bank.prompts.grad = None
-        if fused:
-            embs = class_text_embeddings(state.encoders, state.bank, sel,
-                                         state.class_token_rows(candidates), {})
-        else:
-            embs = ad.concat([text_tower(state.encoders, ad.concat(
-                [ad.take(state.bank.prompts, i) for i in sel.indices]
-                + [ad.constant(state.class_tokens[cid][None])])) for cid in candidates])
-        ad.backward(ad.sum_all(mul(embs, ad.constant(weights.reshape(embs.shape)))))
-        results.append((embs.values.reshape(-1), state.bank.prompts.grad.copy()))
-    ad.reset_tape()
-    for got, want in zip(*results):
-        np.testing.assert_array_equal(got, want)
+        forward(state, batch, cfg, selections)
+        ops = [node.op for node in ad.active_tape()]
+        unique = {sel.index_tuple for sel in selections}
+        assert len(unique) > 1
+        assert ops.count("encode_text") == len(unique) + 1, len(seen)
+        lengths.append(len(ops))
+    assert len(seen) == 20
+    assert lengths[0] == lengths[1]
 
 
 def test_train_task_empty_dataset_errors_without_state_change():
