@@ -233,8 +233,10 @@ def cosine_logits(a: Tensor, b, alpha: float) -> Tensor:
         gf = (g * alpha)[:, None]
         ga = gb = None
         if a.requires_grad:
-            # Summed in reverse row order, as backward would visit the per-row nodes.
-            ga = np.add.reduce((gf * (bv / (na * nb)[:, None] - (c / (na * na))[:, None] * av))[::-1])
+            # Summed in reverse row order, as backward would visit the per-row
+            # nodes. accumulate is a left fold at every d; reduce sums pairwise at d = 1.
+            ga = np.add.accumulate(
+                (gf * (bv / (na * nb)[:, None] - (c / (na * na))[:, None] * av))[::-1], axis=0)[-1]
         if b.requires_grad:
             gb = gf * (av / (na * nb)[:, None] - (c / (nb * nb))[:, None] * bv)
         return ga, gb

@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import os
 import pathlib
@@ -72,13 +71,16 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
 
 
-def _read_run_json(path: str):
-    """A JSON file of a run directory; a missing or broken one is a data error."""
+def _read_run_json(path: str) -> dict:
+    """A JSON object of a run directory; a missing, broken or non-object file is a data error."""
     try:
         with open(path) as f:
-            return json.load(f)
+            obj = json.load(f)
     except (OSError, ValueError) as e:
         raise dio.DataError(f"{path}: unreadable run file ({e})") from None
+    if not isinstance(obj, dict):
+        raise dio.DataError(f"{path}: not a JSON object")
+    return obj
 
 
 def _parse_train_config(raw: dict, seed_override=None) -> TrainConfig:
@@ -157,18 +159,21 @@ def _write_manifest(out_dir: str, config_snapshot: dict, cfg: TrainConfig, outpu
     dump_json(manifest, os.path.join(out_dir, "manifest.json"))
 
 
-def _matrix_csv(matrix: AccuracyMatrix, label: str, path: str) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(matrix.to_csv(label))
-
-
 _CKPT_NAME = re.compile(r"after_task_(\d+)\.ckpt")
 
 
 def cmd_train(args) -> int:
-    raw = _load_json(args.config)
-    cfg = _parse_train_config(raw, args.seed)
-    mode = args.mode or raw.get("mode", "attriclip")
+    _train(_load_json(args.config), args.out, args.mode, args.seed, args.resume)
+    return 0
+
+
+def _train(raw: dict, out: str, mode: str | None, seed: int | None, resume: bool) -> dict:
+    """Run the experiment ``raw`` describes into the run directory ``out``; returns its metrics.
+
+    A bad config raises ``ConfigError`` before any directory is created.
+    """
+    cfg = _parse_train_config(raw, seed)
+    mode = mode or raw.get("mode", "attriclip")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     stream = _build_stream(raw.get("data", {}))
@@ -177,7 +182,6 @@ def cmd_train(args) -> int:
             raise dio.DataError(f"task {task.task_id} has no test samples")
     data_hash = _data_hash(raw.get("data", {}))
 
-    out = args.out
     os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
     os.makedirs(os.path.join(out, "task_reports"), exist_ok=True)
 
@@ -185,7 +189,7 @@ def cmd_train(args) -> int:
     state = None
     matrix = None
     start_task = 0
-    if args.resume:
+    if resume:
         ckpts = {int(m.group(1)): m.group(0) for m in
                  map(_CKPT_NAME.fullmatch, os.listdir(os.path.join(out, "checkpoints"))) if m}
         if ckpts:
@@ -221,8 +225,8 @@ def cmd_train(args) -> int:
     matrix, state = run_sequence(stream, cfg, eval_hooks=[hook], state=state,
                                  matrix=matrix, start_task=start_task, mode=mode)
 
-    label = f"{mode}_seed{cfg.seed}"
-    _matrix_csv(matrix, label, os.path.join(out, "accuracy_matrix.csv"))
+    with open(os.path.join(out, "accuracy_matrix.csv"), "w", newline="") as f:
+        f.write(matrix.to_csv(f"{mode}_seed{cfg.seed}"))
     metrics = {
         "mode": mode,
         "seed": cfg.seed,
@@ -238,7 +242,7 @@ def cmd_train(args) -> int:
         "matrix_csv": "accuracy_matrix.csv",
     })
     print(f"final average accuracy: {metrics['final_average_accuracy']:.2f}")
-    return 0
+    return metrics
 
 
 def cmd_cdcl(args) -> int:
@@ -289,9 +293,8 @@ def _pinned_objective(state, samples, cfg, corrupt: float):
     return loss
 
 
-def gradient_check_report(seed: int, n: int, m: int, d: int, k: int, batch: int,
-                          distance: str = "cosine", corrupt: float = 0.0) -> dict:
-    """Max relative gradient error per parameter group, at small sizes.
+def gradient_check_report(seed: int, distance: str = "cosine", corrupt: float = 0.0) -> dict:
+    """Max relative gradient error per parameter group, on one small fixed problem.
 
     Every group is checked through ``trainer.forward`` with the selections
     pinned at the base point: the hard top-C choice and the triplet negative
@@ -300,13 +303,11 @@ def gradient_check_report(seed: int, n: int, m: int, d: int, k: int, batch: int,
     ``corrupt`` adds that much times the sum of all parameters to the loss,
     out of the tape's sight, so every check must fail.
     """
-    spec = dio.SyntheticSpec(num_latent_attributes=max(4, k), attributes_per_class=2,
-                             num_tasks=1, classes_per_task=k, samples_per_class=max(2, batch),
-                             feature_dim=d, noise_sigma=0.1, seed=seed)
-    stream = dio.generate_synthetic(spec)
-    samples = stream.tasks[0].train[:batch]
-    base = TrainConfig(n=n, m=m, c=min(3, n - 1) if distance == "triplet" else min(3, n),
-                       tau=0.05, seed=seed, distance=distance)
+    stream = dio.generate_synthetic(dio.SyntheticSpec(
+        num_latent_attributes=4, attributes_per_class=2, num_tasks=1, classes_per_task=3,
+        samples_per_class=2, feature_dim=16, noise_sigma=0.1, seed=seed))
+    samples = stream.tasks[0].train[:2]
+    base = TrainConfig(n=4, m=3, c=3, tau=0.05, seed=seed, distance=distance)
     attr, shared = (init_state(mode, base, stream) for mode in ("attriclip", "shared_prompt"))
     for state in (attr, shared):
         for cid in stream.tasks[0].class_ids:
@@ -319,10 +320,7 @@ def gradient_check_report(seed: int, n: int, m: int, d: int, k: int, batch: int,
 
 
 def cmd_gradcheck(args) -> int:
-    if args.n > 6 or args.m > 4 or args.d > 16 or args.k > 4:
-        raise ConfigError("gradcheck sizes capped at n<=6, m<=4, d<=16, k<=4")
-    report = gradient_check_report(args.seed, args.n, args.m, args.d, args.k,
-                                   args.batch, args.distance,
+    report = gradient_check_report(args.seed, args.distance,
                                    corrupt=0.01 if args.corrupt else 0.0)
     tol = 1e-4
     ok = True
@@ -362,21 +360,9 @@ def cmd_sweep(args) -> int:
             except ValueError:
                 rows.append([value, "", f"invalid value for axis {args.axis}"])
                 continue
-        sub_dir = os.path.join(args.out, f"value_{value}")
-        sub_args = argparse.Namespace(config=args.config, out=sub_dir, mode=args.mode,
-                                      seed=args.seed, resume=False)
         try:
-            cfg = _parse_train_config(sub_raw, args.seed)
-        except ConfigError as e:
-            rows.append([value, "", str(e)])
-            continue
-        tmp_cfg_path = os.path.join(sub_dir, "config.json")
-        os.makedirs(sub_dir, exist_ok=True)
-        dump_json(sub_raw, tmp_cfg_path)
-        sub_args.config = tmp_cfg_path
-        try:
-            cmd_train(sub_args)
-            metrics = _read_run_json(os.path.join(sub_dir, "metrics.json"))
+            metrics = _train(sub_raw, os.path.join(args.out, f"value_{value}"),
+                             args.mode, args.seed, resume=False)
             rows.append([value, f"{metrics['final_average_accuracy']:.4f}", ""])
         except (ConfigError, ValueError) as e:
             rows.append([value, "", str(e)])
@@ -426,25 +412,24 @@ def cmd_report(args) -> int:
                           "final_average_accuracy": metrics.get("final_average_accuracy")})
         cdcl_path = os.path.join(run_dir, "cdcl_report.json")
         if os.path.exists(cdcl_path):
-            cdcl = _read_run_json(cdcl_path)
-            for mode, rep in cdcl.get("reports", {}).items():
+            reports = _read_run_json(cdcl_path).get("reports", {})
+            if not (isinstance(reports, dict) and all(isinstance(r, dict) for r in reports.values())):
+                raise dio.DataError(f"{cdcl_path}: reports must map each mode to an object")
+            for mode, rep in reports.items():
                 entry[f"{mode}_ft"] = rep.get("ft")
                 entry[f"{mode}_bt"] = rep.get("bt")
         loaded.append(entry)
     if not loaded:
         print("no runs loaded", file=sys.stderr)
         return 1
-    keys = sorted({k for e in loaded for k in e} - {"run"})
-    header = ["run"] + keys
+    header = ["run"] + sorted({k for e in loaded for k in e} - {"run"})
     if args.format == "json":
         print(json.dumps(loaded, indent=2, sort_keys=True))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         writer.writerow(header)
         for e in loaded:
             writer.writerow([e.get(k, "") for k in header])
-        print(buf.getvalue(), end="")
     return 0
 
 
@@ -471,11 +456,6 @@ def build_parser() -> _Parser:
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p_grad.add_argument("--seed", type=_seed, default=0)
-    p_grad.add_argument("--n", type=int, default=4)
-    p_grad.add_argument("--m", type=int, default=3)
-    p_grad.add_argument("--d", type=int, default=16)
-    p_grad.add_argument("--k", type=int, default=3)
-    p_grad.add_argument("--batch", type=int, default=2)
     p_grad.add_argument("--distance", choices=DISTANCES, default="cosine")
     p_grad.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p_grad.set_defaults(fn=cmd_gradcheck)

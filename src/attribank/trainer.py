@@ -153,13 +153,11 @@ def lr_at(step: int, total_steps: int, lr0: float) -> float:
 
 
 def _sgd_update(params, lr: float) -> None:
-    # Only rows (bank entries) that actually received gradient move; every
-    # other row stays bit-identical.
+    # A row (bank entry) that received no gradient holds backward's +0.0, so
+    # subtracting it leaves the row bit-identical.
     for p in params:
-        if p.grad is None:
-            continue
-        rows = np.flatnonzero(p.grad.reshape(len(p.grad), -1).any(axis=1))
-        p.values[rows] -= lr * p.grad[rows]
+        if p.grad is not None:
+            p.values -= lr * p.grad
 
 
 def _diagnostic_dump(batch, encoders) -> str:

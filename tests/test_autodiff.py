@@ -210,7 +210,7 @@ def test_cosine_logits_matches_scaled_cosine_chain_bit_for_bit():
         ad.backward(ad.neg_log_prob(mul(logits, ad.constant(w)), k // 2))
         return logits.values, a.grad, b.grad
 
-    for k, d in [(4, 5), (1, 32), (20, 32), (80, 32)]:
+    for k, d in [(4, 5), (1, 32), (20, 32), (80, 32), (80, 1)]:
         g = rng(13 + k)
         inputs = g.standard_normal(d), g.standard_normal((k, d)), g.standard_normal(k)
         for got, want in zip(grads(True, *inputs), grads(False, *inputs)):

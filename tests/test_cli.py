@@ -375,6 +375,9 @@ def test_sweep_continues_past_invalid_value(tmp_path):
     assert ok_row[0] == "2" and ok_row[1]
     bad_row = rows[2].split(",", 2)
     assert bad_row[0] == "9" and bad_row[2]
+    assert not (out / "value_9").exists()
+    manifest = json.loads((out / "value_2" / "manifest.json").read_text())
+    assert manifest["config"]["train"]["c"] == 2
 
 
 def test_sweep_distance_axis_covers_all_variants(tmp_path):
@@ -424,6 +427,15 @@ def test_report_skips_missing_manifest_with_warning(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "warning" in captured.err
+
+
+@pytest.mark.parametrize("name, content", [("metrics.json", [1, 2]),
+                                           ("cdcl_report.json", {"reports": {"attriclip": 5}})])
+def test_report_run_file_that_is_not_an_object_exits_2(tmp_path, capsys, name, content):
+    (tmp_path / "manifest.json").write_text("{}")
+    (tmp_path / name).write_text(json.dumps(content))
+    assert cli.main(["report", str(tmp_path)]) == 2
+    assert "data error" in capsys.readouterr().err
 
 
 def test_report_all_missing_exits_1(tmp_path, capsys):
