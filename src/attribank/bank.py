@@ -122,15 +122,20 @@ def route(z: np.ndarray, bank: AttributeBank | None, c: int) -> Selection | None
 
 
 def compose_text_input(sel: Selection, bank: AttributeBank) -> TokenSequence:
-    """The prompt prefix of a selection: its prompts concatenated in selection order.
+    """The prompt prefix of a selection: its prompts in selection order.
 
-    Every candidate class's text is this prefix plus its class token.
-    Prompt tokens keep their trainable status through the concat.
+    Every candidate class's text is this prefix plus its class token. On a
+    parameter bank (training) it is the selected rows of ``bank.prompts``,
+    which the text tower reads itself and adds their gradients back into.
+    On ``frozen_view()`` (evaluation) it is a constant (C*m, d) copy of them.
     """
     for i in sel.indices:
         if not 0 <= i < bank.n:
             raise ValueError(f"selection index {i} outside bank of {bank.n}")
-    return TokenSequence(ad.concat([ad.take(bank.prompts, i) for i in sel.indices]))
+    prompts = bank.prompts
+    if prompts.requires_grad:
+        return TokenSequence(prompts, sel.indices)
+    return TokenSequence(ad.constant(prompts.values[sel.indices].reshape(-1, prompts.shape[2])))
 
 
 def class_text_embeddings(encoders, bank: AttributeBank | None, sel: Selection | None,
@@ -139,25 +144,17 @@ def class_text_embeddings(encoders, bank: AttributeBank | None, sel: Selection |
 
     ``class_rows`` holds the K candidates' class tokens, one per row, and
     ``cache`` keeps one entry per selection. A cache miss is one
-    ``encode_text`` call, one tape node, whose sequences are the selection's
+    ``encode_text`` call whose sequences are the selection's composed
     prompts followed by each class token. With no selection the prefix is
-    empty and the class tokens are encoded alone.
-
-    On ``frozen_view()`` (evaluation) the call encodes the composed prefix
-    against all K class tokens prefix-shared. On a parameter bank (training)
-    the tower reads the selected rows of ``bank.prompts`` itself and runs
-    each class's sequence unshared, stacked: training's values and the
-    order its prompt gradients are summed in stay those of K separate
-    sequences, bit for bit.
+    empty and the class tokens are encoded alone. In training that call is
+    one tape node, each class's sequence unshared, so values and the order
+    prompt gradients are summed in stay those of K separate sequences, bit
+    for bit; in evaluation it is the prefix-shared tower's values.
     """
     key = None if sel is None else sel.index_tuple
     embs = cache.get(key)
     if embs is None:
-        if sel is None:
-            prefix = TokenSequence(ad.constant(np.zeros((0, class_rows.shape[1]))))
-        elif bank.prompts.requires_grad:
-            prefix = TokenSequence(bank.prompts, sel.indices)
-        else:
-            prefix = compose_text_input(sel, bank)
+        prefix = (TokenSequence(ad.constant(np.zeros((0, class_rows.shape[1])))) if sel is None
+                  else compose_text_input(sel, bank))
         embs = cache[key] = encoders.encode_text(prefix, class_rows)
     return embs

@@ -20,7 +20,7 @@ Typical usage:
 
   attribank train --config run.json --out runs/base
   attribank sweep --config run.json --out runs/sweep_c --axis C --values 1,3,5
-  attribank report runs/base runs/sweep_c/value_3 --format csv
+  attribank report runs/base runs/sweep_c/value_3
 """
 
 from __future__ import annotations
@@ -50,6 +50,11 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # Options are spelled out in full: an abbreviation would change meaning
+    # when an option sharing its prefix is added. Subparsers are _Parsers too.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # Usage problems are configuration errors (exit 1), not argparse's exit 2.
     def error(self, message):
         raise ConfigError(message)
@@ -61,14 +66,29 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+# The keys a data section of each kind may hold besides ``kind``.
+_DATA_KEYS = {"synthetic": {"synthetic"}, "file": {"train_path", "test_path"},
+              "synthetic_pair": {"a", "b", "shared_attributes"}}
+
+
 def _load_json(path: str) -> dict:
+    """The config at ``path``: an object with only known top-level and data keys."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as f:
-            return json.load(f)
+            raw = json.load(f)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
+    data = raw.get("data", {}) if isinstance(raw, dict) else None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: the config and its data section must be JSON objects")
+    kind = data.get("kind")  # an unknown kind is reported when the data is built
+    allowed = _DATA_KEYS.get(kind, set(data)) if isinstance(kind, str) else set(data)
+    unknown = sorted(set(raw) - {"mode", "train", "data"}) + sorted(set(data) - {"kind"} - allowed)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys {unknown}")
+    return raw
 
 
 def _read_run_json(path: str) -> dict:
@@ -102,34 +122,31 @@ def _build_stream(data_cfg: dict):
             raise ConfigError(f"bad synthetic spec: {e}") from None
         return dio.generate_synthetic(spec)
     if kind == "file":
-        train_path = data_cfg.get("train_path")
-        if not train_path:
-            raise ConfigError("file data source needs train_path")
+        for key in ("train_path", "test_path"):
+            if not data_cfg.get(key):
+                raise ConfigError(f"file data source needs {key}")
+        train_path, test_path = data_cfg["train_path"], data_cfg["test_path"]
         if not os.path.exists(train_path):
             raise dio.DataError(f"embedding file not found: {train_path}")
         train, tokens, d = dio.read_embedding_file(train_path)
         if not train:
             raise dio.DataError(f"{train_path}: no training records")
-        test_path = data_cfg.get("test_path")
-        if test_path:
-            if not os.path.exists(test_path):
-                raise dio.DataError(f"embedding file not found: {test_path}")
-            test, test_tokens, test_d = dio.read_embedding_file(test_path)
-            if test_d != d:
-                raise dio.DataError("train and test files disagree on dimension")
-            if len(test_tokens) != len(tokens) or any(
-                    test_tokens[cid].tobytes() != row.tobytes() for cid, row in tokens.items()):
-                raise dio.DataError("train and test files disagree on the class-token table")
-        else:
-            test = []
+        if not os.path.exists(test_path):
+            raise dio.DataError(f"embedding file not found: {test_path}")
+        test, test_tokens, test_d = dio.read_embedding_file(test_path)
+        if test_d != d:
+            raise dio.DataError("train and test files disagree on dimension")
+        if len(test_tokens) != len(tokens) or any(
+                test_tokens[cid].tobytes() != row.tobytes() for cid, row in tokens.items()):
+            raise dio.DataError("train and test files disagree on the class-token table")
         return dio.assemble_stream(train, test, tokens, d)
     raise ConfigError(f"unknown data kind {kind!r}")
 
 
 def _data_hash(data_cfg: dict) -> str:
     """Hash of the data section and, for ``kind: file``, of the files' bytes."""
-    paths = [data_cfg.get(k) for k in ("train_path", "test_path")
-             if data_cfg.get("kind") == "file" and data_cfg.get(k)]
+    paths = ([data_cfg["train_path"], data_cfg["test_path"]] if data_cfg.get("kind") == "file"
+             else [])
     return content_hash(canonical_json(data_cfg).encode(),
                         *(content_hash(pathlib.Path(p).read_bytes()) for p in paths))
 
@@ -390,12 +407,9 @@ def cmd_report(args) -> int:
                 rows.append([name, row["method"], row["memory"], row["scratch"],
                              row["transferred"], row["printed"], round(recomputed, 2),
                              "ok" if abs(recomputed - row["printed"]) <= 0.05 else "MISMATCH"])
-        if args.format == "json":
-            print(json.dumps(rows, indent=2))
-        else:
-            print("table,method,memory,scratch,transferred,printed,recomputed,check")
-            for row in rows:
-                print(",".join(str(x) for x in row))
+        print("table,method,memory,scratch,transferred,printed,recomputed,check")
+        for row in rows:
+            print(",".join(str(x) for x in row))
         return 0
 
     loaded = []
@@ -423,13 +437,10 @@ def cmd_report(args) -> int:
         print("no runs loaded", file=sys.stderr)
         return 1
     header = ["run"] + sorted({k for e in loaded for k in e} - {"run"})
-    if args.format == "json":
-        print(json.dumps(loaded, indent=2, sort_keys=True))
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        for e in loaded:
-            writer.writerow([e.get(k, "") for k in header])
+    writer = csv.writer(sys.stdout)
+    writer.writerow(header)
+    for e in loaded:
+        writer.writerow([e.get(k, "") for k in header])
     return 0
 
 
@@ -471,7 +482,6 @@ def build_parser() -> _Parser:
 
     p_report = sub.add_parser("report", help="merge run directories into a table")
     p_report.add_argument("run_dirs", nargs="*")
-    p_report.add_argument("--format", choices=("csv", "json"), default="csv")
     p_report.add_argument("--fixtures", action="store_true",
                           help="recompute transfer columns of the bundled reference tables")
     p_report.set_defaults(fn=cmd_report)

@@ -15,12 +15,13 @@ The text encoder is a deliberately small, order-sensitive network:
 Its weights are frozen; gradients flow only into the input tokens, which is
 exactly the property prompt tuning relies on.
 
-``encode_text`` embeds a stack of sequences as one tape node, in one of two
-arithmetics. Evaluation encodes K sequences that share one prefix and
-differ in their last token, such as one selection's prompts followed by
-each candidate's class token, prefix-shared: the prefix's scores are
-computed once, and each tail adds one score row and one score column.
-Training runs every sequence through the tower on its own, stacked over a
+``encode_text`` embeds a stack of sequences in one of two arithmetics, and
+the tape picks which. Evaluation, where nothing requires a gradient,
+encodes K sequences that share one prefix and differ in their last token,
+such as one selection's prompts followed by each candidate's class token,
+prefix-shared and forward only: the prefix's scores are computed once, and
+each tail adds one score row and one score column. Training runs every
+sequence through the tower on its own as one tape node, stacked over a
 (K, s, d) array with numpy forms that equal their per-slice calls, so its
 values and gradients are those of one sequence at a time, bit for bit.
 """
@@ -136,12 +137,14 @@ class FrozenEncoderPair:
         return self.weights.theta["w_image"] @ x
 
     def encode_text(self, seq: TokenSequence, tails: ad.Tensor | None = None) -> ad.Tensor:
-        """Embed ``[seq; t_k]`` for every row t_k of the (K, d) ``tails``, as one (K, d) node.
+        """Embed ``[seq; t_k]`` for every row t_k of the (K, d) ``tails``, as one (K, d) tensor.
 
-        Differentiable w.r.t. the tokens and ``tails`` only. A plain (L, d)
-        prefix with ``tails`` (evaluation) is encoded prefix-shared, below.
-        Every other form runs each of its sequences through the unshared
-        tower, stacked (``_encode_unshared``):
+        Differentiable w.r.t. the tokens and ``tails`` only. The tape picks
+        the arithmetic. When nothing requires a gradient and ``tails`` is
+        given (evaluation), the sequences are encoded prefix-shared, below,
+        and the result is a constant. Every other call runs each of its
+        sequences through the unshared tower, stacked, as one node
+        (``_encode_unshared``):
 
         * an (s, d) matrix with no ``tails`` is one sequence whose last row is
           its tail, and gives (1, d); an (n, m, d) stack gives one row per
@@ -149,13 +152,15 @@ class FrozenEncoderPair:
         * ``seq.rows`` with ``tails`` (training) gives one row per tail, each
           sequence the stack entries ``rows`` followed by its tail.
 
-        With ``tails`` on a plain prefix, every sequence shares its first
-        L = len(seq) rows, so the L x L prefix block of the scores is computed
-        once; each tail adds one score column (to every prefix row) and one
-        score row. Prefix row i of sequence k takes the shift max(row max of
-        the block, its score against tail k), the shift of the unshared
-        softmax. With A = E_PP xp_P the shared block's attention mass, the
-        pooled vector of sequence k is
+        On the tape, ``tails`` need rows of a stack: only those take the
+        prefix's gradient back, so a plain (L, d) prefix raises.
+
+        Prefix-shared, every sequence shares its first L rows, so the L x L
+        prefix block of the scores is computed once; each tail adds one score
+        column (to every prefix row) and one score row. Prefix row i of
+        sequence k takes the shift max(row max of the block, its score
+        against tail k), the shift of the unshared softmax. With A = E_PP xp_P
+        the shared block's attention mass, the pooled vector of sequence k is
 
             (sum_i R_ik u_ik A_i + (sum_i R_ik w_ik + a_kk) xp_k + a_kP xp_P) / (L + 1)
 
@@ -176,11 +181,16 @@ class FrozenEncoderPair:
         if length > self.max_tokens:
             raise ad.ShapeError(
                 f"encode_text: sequence length {length} exceeds positional table ({self.max_tokens})")
-        if tails is None or seq.rows is not None or x.values.ndim == 3:
+        on_tape = x.requires_grad or (tails is not None and tails.requires_grad)
+        if tails is not None and seq.rows is None and (on_tape or x.values.ndim == 3):
+            raise ad.ShapeError("encode_text: tails need rows of a stack, or a constant "
+                                "(L, d) prefix off the tape")
+        if tails is None or on_tape:
             return self._encode_unshared(seq, tails)
         psi, alpha = self.weights.psi, self._inv_sqrt_d
         mix, proj = psi["w_mix"], psi["w_proj"]
-        xp = x.values + psi["pos"][:n]      # (L, d), shared
+        prefix = x.values if seq.rows is None else x.values[seq.rows].reshape(n, self.d)
+        xp = prefix + psi["pos"][:n]        # (L, d), shared
         xt = tails.values + psi["pos"][n]   # (K, d), one row per sequence
         xm, xmt = xp @ mix, xt @ mix
         # Prefix rows: the shared block, then one column per tail.
@@ -202,25 +212,7 @@ class FrozenEncoderPair:
         a_tp, a_tt = e_tp / z_t[:, None], e_tt / z_t
         tail_mass = rw.sum(axis=0) + a_tt
         pooled = (ru.T @ a + tail_mass[:, None] * xt + a_tp @ xp) / (n + 1)
-
-        def grad_fn(g):
-            gp = (g @ proj) / (n + 1)              # (K, d): each row of sequence k gets it
-            v_p = gp @ xp.T                        # (K, L): gradient of row attention to prefix j
-            v_t = np.einsum("kd,kd->k", gp, xt)    # (K,): ... to the sequence's own tail
-            ru_gp = ru @ gp
-            dot = ru * (a @ gp.T) + rw * v_t
-            g_spp = e_pp * (ru_gp @ xp.T - (ru * dot).sum(axis=1, keepdims=True)) * alpha
-            g_spt = rw * (v_t - dot) * alpha
-            dot_t = (a_tp * v_p).sum(axis=1) + a_tt * v_t
-            g_stp = a_tp * (v_p - dot_t[:, None]) * alpha
-            g_stt = a_tt * (v_t - dot_t) * alpha
-            g_xp = (e_pp.T @ ru_gp + a_tp.T @ gp + (g_spp @ xp + g_spt @ xt) @ mix.T
-                    + g_spp.T @ xm + g_stp.T @ xmt)
-            g_xt = (tail_mass[:, None] * gp + g_spt.T @ xm + (g_stp @ xp) @ mix.T
-                    + g_stt[:, None] * (xt @ mix.T + xmt))
-            return g_xp, g_xt
-
-        return ad.record("encode_text", (x, tails), ad.Tensor(pooled @ proj.T), grad_fn)
+        return ad.constant(pooled @ proj.T)
 
     def _encode_unshared(self, seq: TokenSequence, tails: ad.Tensor | None) -> ad.Tensor:
         """Every sequence of ``seq`` (and ``tails``) through the tower on its own, as one node.
@@ -241,12 +233,8 @@ class FrozenEncoderPair:
         x, rows = seq.tokens, seq.rows
         if rows is not None:
             xs = x.values[rows].reshape(1, -1, self.d)
-        elif x.values.ndim == 2:
-            xs = x.values[None]
-        elif tails is None:
-            xs = x.values
-        else:
-            raise ad.ShapeError("encode_text: tails need an (L, d) prefix or rows of a stack")
+        else:  # then there are no tails
+            xs = x.values.reshape(-1, *x.shape[-2:])
         n = xs.shape[1]
         if tails is not None:
             xs = np.concatenate([np.broadcast_to(xs, (tails.shape[0], n, self.d)),
@@ -269,7 +257,7 @@ class FrozenEncoderPair:
             g_scores = ((g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * attn) * alpha
             g_xp = attn.mT @ g_mixed + (xm.mT @ g_scores).mT
             g_xs = g_xp + (g_scores @ xp_t.mT) @ mix.T
-            if rows is None:  # then there are no tails
+            if rows is None:
                 return (g_xs.reshape(x.shape),)
             if x.requires_grad:
                 acc = x.grad[rows].reshape(n, self.d)

@@ -148,10 +148,11 @@ def _fd_cases(seed):
         # the differentiated tensor is the rows, read out of order; row 1 gets nothing
         "cosine_logits_entries": (x, lambda t: weighted_sum(
             ad.cosine_logits(ad.constant(c4), ad.take(t, [2, 0]), 0.7), c2)),
-        "encode_text_prefix": (x, lambda t: weighted_sum(
-            _TOWER.encode_text(TokenSequence(t), ad.constant(tails)), w24)),
+        # a stack's rows [2, 0] as the prefix of both tails; entry 1 gets nothing
+        "encode_text_prefix": (x[:, None], lambda t: weighted_sum(
+            _TOWER.encode_text(TokenSequence(t, [2, 0]), ad.constant(tails)), w24)),
         "encode_text_tails": (tails, lambda t: weighted_sum(
-            _TOWER.encode_text(TokenSequence(ad.constant(x)), t), w24)),
+            _TOWER.encode_text(TokenSequence(ad.constant(x[:, None]), [2, 0, 1]), t), w24)),
         "softmax_vec": (v, lambda t: weighted_sum(softmax_logits(t), w4)),
         "softmax_rows": (x, lambda t: weighted_sum(softmax_logits(t), wx)),
         "neg_log_prob": (v, lambda t: ad.neg_log_prob(t, 2)),

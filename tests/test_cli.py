@@ -61,7 +61,8 @@ def test_train_section_with_removed_setting_exits_1(tmp_path, capsys, setting):
 
 
 def test_missing_data_file_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, data={"kind": "file", "train_path": str(tmp_path / "no.atrb")})
+    cfg = write_config(tmp_path, data={"kind": "file", "train_path": str(tmp_path / "no.atrb"),
+                                       "test_path": str(tmp_path / "no_test.atrb")})
     rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "data error" in capsys.readouterr().err
@@ -69,6 +70,48 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
 
 def test_usage_error_exits_1():
     assert cli.main(["train"]) == 1
+
+
+# Configs of the wrong shape; unchecked, the first five would crash or run on defaults.
+@pytest.mark.parametrize("command, mutate", [
+    ("train", lambda raw: [1, 2]),
+    ("train", lambda raw: {**raw, "data": "x"}),
+    ("train", lambda raw: {**raw, "trian": {"tau": 0.3}}),
+    ("train", lambda raw: {**raw, "data": {"kind": "synthetic",
+                                           "synthetc": raw["data"]["synthetic"]}}),
+    ("cdcl", lambda raw: {**raw, "data": {**raw["data"], "train_path": "a.atrb"}}),
+    ("train", lambda raw: {**raw, "data": {**raw["data"], "kind": ["synthetic"]}}),
+], ids=["list", "data_string", "top_level_typo", "data_typo", "pair_extra", "kind_list"])
+def test_config_of_the_wrong_shape_exits_1(tmp_path, capsys, command, mutate):
+    path = write_config(tmp_path) if command == "train" else cdcl_config(tmp_path)
+    with open(path) as f:
+        raw = mutate(json.load(f))
+    with open(path, "w") as f:
+        json.dump(raw, f)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_file_data_without_test_path_exits_1(tmp_path, capsys):
+    cfg = _write_atrb_pair(tmp_path, d=4, train_records=True)
+    data = json.loads(open(cfg).read())["data"]
+    del data["test_path"]
+    cfg = write_config(tmp_path, data=data)
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "config error: file data source needs test_path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["train", "--conf", "CONFIG", "--ou", "OUT"],
+                                  ["report", "--format", "csv", "OUT"]],
+                         ids=["abbreviated", "removed_format"])
+def test_unknown_or_abbreviated_option_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = [{"CONFIG": write_config(tmp_path), "OUT": str(out)}.get(a, a) for a in argv]
+    assert cli.main(argv) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_emits_triangular_matrix_and_manifest(tmp_path):
@@ -323,8 +366,9 @@ def test_gradcheck_covers_all_distance_variants(capsys):
         assert cli.main(["gradcheck", "--distance", variant]) == 0, variant
 
 
-def test_gradcheck_rejects_oversized_problem():
+def test_gradcheck_rejects_oversized_problem(capsys):
     assert cli.main(["gradcheck", "--d", "64"]) == 1
+    assert "unrecognized arguments: --d 64" in capsys.readouterr().err
 
 
 def cdcl_config(tmp_path):

@@ -138,7 +138,7 @@ def test_train_step_matches_fd_sgd_oracle():
         ad.reset_tape()
         candidates = state.seen_classes()
         from attribank.bank import compose_text_input
-        prefix = compose_text_input(frozen_sel, state.bank).tokens
+        prefix = compose_text_input(frozen_sel, state.bank.frozen_view()).tokens
         embs = ad.concat([state.encoders.encode_text(TokenSequence(ad.concat(
             [prefix, ad.constant(state.class_tokens[cid][None])]))) for cid in candidates])
         l_m = classification_loss([(z, candidates.index(batch[0].label), embs)], cfg.tau)
