@@ -6,13 +6,14 @@ gradients into the ``grad`` buffers of every tensor that requires them.
 Everything is double precision: the package's acceptance rests on tight
 gradient checks, not throughput.
 
-Supported primitives: add, scale, concat, take (one row or an index list),
-cosine_logits (one vector against the K rows of a matrix), neg_log_prob,
-abs, sum, mean. No broadcasting beyond scalar-tensor; shapes are checked
-explicitly per primitive. A fused block over constant weights, such as the
-frozen text tower, is one node built with ``record``; ``tests/reference.py``
-holds the finer primitives (matmul, mul, transpose, cosine_sim,
-softmax_logits) that the fused nodes are pinned to.
+Supported primitives: add and scale. No broadcasting beyond scalar-tensor;
+shapes are checked explicitly. ``cosines`` is the one batched cosine
+kernel, values and gradient, that key selection and the loss terms build
+on. A fused block, such as the frozen text tower or a whole loss term over
+the batch, is one node built with ``record``; ``tests/reference.py`` holds
+the finer primitives (matmul, mul, transpose, cosine_sim, cosine_logits,
+softmax_logits, concat, take, neg_log_prob, abs, sum, mean) that the fused
+nodes are pinned to.
 
 The tape is module-global and single-threaded: one forward pass owns it
 until the next ``reset_tape``. Tensors with requires_grad=False never
@@ -102,8 +103,8 @@ def record(op: str, inputs: tuple, output: Tensor, grad_fn) -> Tensor:
     """Put ``output`` on the tape when any input requires gradient.
 
     ``grad_fn(g)`` returns one gradient (or None) per input. Every primitive
-    ends here, and so does a fused block over constant weights, such as the
-    frozen text tower.
+    ends here, and so does every fused block: the frozen text tower and each
+    loss term.
     """
     for t in inputs:
         if t.requires_grad:
@@ -151,166 +152,43 @@ def scale(a: Tensor, alpha: float) -> Tensor:
     return record("scale", (a,), out, grad_fn)
 
 
-def concat(tensors) -> Tensor:
-    """Concatenate along axis 0. Scalars are promoted to length-1 vectors."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat: empty input list")
-    views = [t.values.reshape(1) if t.values.ndim == 0 else t.values for t in tensors]
-    rank = views[0].ndim
-    for v in views:
-        if v.ndim != rank:
-            raise ShapeError(f"concat: mixed ranks {[w.shape for w in views]}")
-        if v.shape[1:] != views[0].shape[1:]:
-            raise ShapeError(f"concat: trailing extents differ {[w.shape for w in views]}")
-    out = Tensor(np.concatenate(views, axis=0))
-    lengths = [v.shape[0] for v in views]
-    shapes = [t.shape for t in tensors]
+def cosines(a: np.ndarray, b: np.ndarray):
+    """Cosine of each (..., d) row of ``a`` against the K rows of its (..., K, d) ``b``.
 
-    def grad_fn(g):
-        grads = []
-        offset = 0
-        for length, shape in zip(lengths, shapes):
-            piece = g[offset:offset + length]
-            grads.append(piece.reshape(shape))
-            offset += length
-        return tuple(grads)
-
-    return record("concat", tuple(tensors), out, grad_fn)
-
-
-def take(a: Tensor, index) -> Tensor:
-    """Row ``index`` of ``a`` along axis 0, or the rows of a list of distinct
-    indices, in its order; the gradient goes only into the rows read."""
-    a = _as_tensor(a)
-    n = a.shape[0] if a.values.ndim else 0
-    if isinstance(index, (int, np.integer)):
-        index = int(index)
-        ok = 0 <= index < n
-    else:
-        index = [int(i) for i in index]
-        ok = len(set(index)) == len(index) and all(0 <= i < n for i in index)
-    if not ok:
-        raise IndexError(f"take: row {index} out of range or repeated for shape {a.shape}")
-    out = Tensor(a.values[index])
-
-    def grad_fn(g):
-        # Accumulate straight into the rows, so no zero array of a's full
-        # shape is built per read; distinct rows make the in-place add exact.
-        a.grad[index] += g
-        return (None,)
-
-    return record("take", (a,), out, grad_fn)
-
-
-def cosine_logits(a: Tensor, b, alpha: float) -> Tensor:
-    """The vector of ``alpha * cos(a, b_k)`` over the rows b_k of the (K, d) ``b``, as one node.
-
-    Bit-identical to concatenating ``scale(cosine_sim(a, take(b, k)), alpha)``
-    over k (the chain in ``tests/reference.py``), in values and gradients,
-    without 2K + 1 nodes per call. It is the package's one differentiable
-    cosine: on constants it records nothing, so key selection reads its
-    ``values`` with ``alpha = 1``.
+    Returns the (..., K) cosines and ``grads(g, da=True, db=True)``, which
+    maps their gradient ``g`` to (d/da, d/db), None for one not asked for.
+    It is the package's one cosine and its one cosine gradient: key
+    selection and every node that takes a cosine build on it. One dot
+    product per row, as a per-pair chain takes it: vecdot
+    equals a loop of 1-D np.dot, batched or not. d/da sums its K terms in
+    reverse row order, as backward would visit K per-row nodes;
+    accumulate is a left fold at every d, where reduce sums pairwise at d = 1.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
-    alpha = float(alpha)
-    if not np.isfinite(alpha):
-        raise NumericError(f"cosine_logits: non-finite factor {alpha}")
-    if a.values.ndim != 1 or b.values.ndim != 2 or b.shape[1] != a.shape[0]:
-        raise ShapeError(f"cosine_logits: expects a (d,) vector and (K, d) rows, "
-                         f"got {a.shape} and {b.shape}")
-    if not b.shape[0]:
-        raise ShapeError("cosine_logits: no rows")
-    av, bv = a.values, b.values
-    # One dot product per row, as the per-pair chain computes it: vecdot
-    # equals a loop of 1-D np.dot.
-    na = np.sqrt(np.dot(av, av) + NORM_EPS)
-    nb = np.sqrt(np.vecdot(bv, bv) + NORM_EPS)
-    c = np.vecdot(av, bv) / (na * nb)
-    out = Tensor(c * alpha)
+    na = np.sqrt(np.vecdot(a, a) + NORM_EPS)[..., None]
+    nb = np.sqrt(np.vecdot(b, b) + NORM_EPS)
+    nab = na * nb
+    c = np.vecdot(a[..., None, :], b) / nab
 
-    def grad_fn(g):
-        gf = (g * alpha)[:, None]
+    def grads(g, da=True, db=True):
+        g = g[..., None]
         ga = gb = None
-        if a.requires_grad:
-            # Summed in reverse row order, as backward would visit the per-row
-            # nodes. accumulate is a left fold at every d; reduce sums pairwise at d = 1.
-            ga = np.add.accumulate(
-                (gf * (bv / (na * nb)[:, None] - (c / (na * na))[:, None] * av))[::-1], axis=0)[-1]
-        if b.requires_grad:
-            gb = gf * (av / (na * nb)[:, None] - (c / (nb * nb))[:, None] * bv)
+        if da:
+            terms = g * (b / nab[..., None] - (c / (na * na))[..., None] * a[..., None, :])
+            ga = np.add.accumulate(terms[..., ::-1, :], axis=-2)[..., -1, :]
+        if db:
+            gb = g * (a[..., None, :] / nab[..., None] - (c / (nb * nb))[..., None] * b)
         return ga, gb
 
-    return record("cosine_logits", (a, b), out, grad_fn)
-
-
-def neg_log_prob(logits: Tensor, index: int) -> Tensor:
-    """Negative log softmax probability of one entry, computed stably.
-
-    Equals logsumexp(logits) - logits[index]; gradient is softmax - onehot.
-    """
-    logits = _as_tensor(logits)
-    if logits.values.ndim != 1:
-        raise ShapeError(f"neg_log_prob: expects a logits vector, got {logits.shape}")
-    k = logits.size
-    index = int(index)
-    if not 0 <= index < k:
-        raise IndexError(f"neg_log_prob: index {index} out of range for {k} logits")
-    lv = logits.values
-    m = lv.max()
-    lse = m + np.log(np.exp(lv - m).sum())
-    out = Tensor(lse - lv[index])
-    p = np.exp(lv - lse)
-
-    def grad_fn(g):
-        grad = p.copy()
-        grad[index] -= 1.0
-        return (float(g) * grad,)
-
-    return record("neg_log_prob", (logits,), out, grad_fn)
-
-
-def absolute(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    av = a.values
-    out = Tensor(np.abs(av))
-
-    def grad_fn(g):
-        return (g * np.sign(av),)
-
-    return record("abs", (a,), out, grad_fn)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.values.sum())
-    shape = a.shape
-
-    def grad_fn(g):
-        return (np.full(shape, float(g)),)
-
-    return record("sum", (a,), out, grad_fn)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    n = a.size
-    out = Tensor(a.values.mean())
-    shape = a.shape
-
-    def grad_fn(g):
-        return (np.full(shape, float(g) / n),)
-
-    return record("mean", (a,), out, grad_fn)
+    return c, grads
 
 
 # ---------------------------------------------------------------------------
 # backward pass and verification
 
 
-# Nodes whose backward may add into rows of an input's buffer in place: ``take``,
-# and the text tower reading a selection's prompt rows.
-_IN_PLACE = ("take", "encode_text")
+# Nodes whose backward adds into rows of an input's buffer in place: the text
+# tower reading a selection's prompt rows.
+_IN_PLACE = ("encode_text",)
 
 
 def backward(loss: Tensor) -> None:

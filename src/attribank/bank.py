@@ -3,11 +3,11 @@
 Keys live in the image-embedding space and are matched against image
 embeddings by cosine distance; each key owns a prompt of M learnable tokens.
 The bank is two parameters, an (n, d) key matrix and an (n, m, d) prompt
-tensor; the losses read entry i with ``autodiff.take``, so gradient reaches
-only the rows they read. Selection is a hard top-C over distances and
-happens outside the gradient tape: key gradients arrive only through the
-key-matching loss, prompt gradients only through the losses that consume the
-composed text input.
+tensor; the tape nodes that read entry i add their gradients into row i
+only. Selection is a hard top-C over distances and happens outside the
+gradient tape: key gradients arrive only through the key-matching loss,
+prompt gradients only through the losses that consume the composed text
+input.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def scores(z: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Cosine distances from z to each row of ``keys``, checked for finiteness once."""
     if not (np.isfinite(z).all() and np.isfinite(keys).all()):
         raise ad.NumericError("score: non-finite input")
-    return 1.0 - ad.cosine_logits(z, keys, 1.0).values
+    return 1.0 - ad.cosines(z, keys)[0]
 
 
 def select_top_c(z: np.ndarray, bank: AttributeBank, c: int) -> Selection:
@@ -146,10 +146,10 @@ def class_text_embeddings(encoders, bank: AttributeBank | None, sel: Selection |
     ``cache`` keeps one entry per selection. A cache miss is one
     ``encode_text`` call whose sequences are the selection's composed
     prompts followed by each class token. With no selection the prefix is
-    empty and the class tokens are encoded alone. In training that call is
-    one tape node, each class's sequence unshared, so values and the order
-    prompt gradients are summed in stay those of K separate sequences, bit
-    for bit; in evaluation it is the prefix-shared tower's values.
+    empty and the class tokens are encoded alone. On a parameter bank that
+    call is one tape node, each class's sequence unshared, so values and the
+    order prompt gradients are summed in stay those of K separate sequences,
+    bit for bit; on ``frozen_view()`` it is the prefix-shared tower's values.
     """
     key = None if sel is None else sel.index_tuple
     embs = cache.get(key)

@@ -159,8 +159,10 @@ def _build_stream_pair(data_cfg: dict):
             spec_b = dio.SyntheticSpec(**data_cfg["b"])
         except (KeyError, TypeError) as e:
             raise ConfigError(f"bad synthetic_pair spec: {e}") from None
-        return dio.generate_synthetic_pair(spec_a, spec_b,
-                                           int(data_cfg.get("shared_attributes", 0)))
+        shared = data_cfg.get("shared_attributes", 0)
+        if isinstance(shared, bool) or not isinstance(shared, int):
+            raise ConfigError(f"shared_attributes must be an integer, got {shared!r}")
+        return dio.generate_synthetic_pair(spec_a, spec_b, shared)
     raise ConfigError(f"cdcl needs data kind synthetic_pair, got {kind!r}")
 
 
@@ -265,8 +267,11 @@ def _train(raw: dict, out: str, mode: str | None, seed: int | None, resume: bool
 def cmd_cdcl(args) -> int:
     raw = _load_json(args.config)
     cfg = _parse_train_config(raw, args.seed)
+    mode = args.mode or raw.get("mode")
+    if mode is not None and mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     stream_a, stream_b = _build_stream_pair(raw.get("data", {}))
-    modes = [args.mode] if args.mode else list(MODES)
+    modes = [mode] if mode else list(MODES)
 
     out = args.out
     os.makedirs(out, exist_ok=True)

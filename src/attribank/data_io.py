@@ -33,7 +33,7 @@ from . import autodiff as ad
 from .bank import AttributeBank
 from .encoders import FrozenEncoderPair, ImageSample
 from .trainer import LearnerState, TrainConfig, preset
-from .util import atomic_write_bytes, keyed_rng
+from .util import atomic_write_bytes, check_number_types, keyed_rng
 
 EMBED_MAGIC = b"ATRB"
 EMBED_VERSION = 1
@@ -110,6 +110,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_number_types(self)
         if self.attributes_per_class > self.num_latent_attributes:
             raise DataError("attributes_per_class cannot exceed num_latent_attributes")
         for name in ("num_latent_attributes", "attributes_per_class", "num_tasks",

@@ -137,7 +137,7 @@ _EVAL_ROWS = 256
 
 def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(R, d) x (K, d) -> (R, K) cosine similarities, each norm guarded as in
-    ``autodiff.cosine_logits``."""
+    ``autodiff.cosines``."""
     na = np.sqrt(np.einsum("ij,ij->i", a, a) + ad.NORM_EPS)
     nb = np.sqrt(np.einsum("ij,ij->i", b, b) + ad.NORM_EPS)
     sims = a @ b.T

@@ -4,15 +4,20 @@ Three components combine into the training objective:
 
   classification     L_m = mean over batch of -log p(label), with
                      p_i proportional to exp(cos(z, w_i) / tau)
-  key matching       L_k = sum over selected keys of a distance to z, one of
-                     DISTANCES: "cosine" (1 - cos), "mse" (normalized squared
-                     error) or "triplet" (hinge against the selection's
-                     detached negative at the fixed margin TRIPLET_MARGIN)
+  key matching       L_k = mean over batch of the sum over selected keys of
+                     a distance to z, one of DISTANCES: "cosine" (1 - cos),
+                     "mse" (normalized squared error) or "triplet" (hinge
+                     against the selection's detached negative at the fixed
+                     margin TRIPLET_MARGIN)
   prompt diversity   L_p = mean absolute pairwise cosine similarity of the
                      standalone prompt embeddings, over all bank entries
 
   total              L = L_m + lambda_k * L_k + lambda_p * L_p
 
+Each term is one tape node over the whole batch (L_p's pairs one node after
+the standalone encode), built on ``autodiff.cosines``. Values and gradients
+are those of the per-sample chains in ``tests/reference.py``, bit for bit:
+each node sums its gradients in the order backward visited those chains.
 Gradient routing is structural: keys appear on the tape only inside L_k,
 prompts only inside L_m (via the composed text) and L_p.
 """
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .bank import AttributeBank, Selection
+from .bank import AttributeBank
 from .encoders import TokenSequence
 
 DISTANCES = ("cosine", "mse", "triplet")
@@ -41,73 +46,105 @@ class LossBreakdown:
     total: float
 
 
-def classification_loss(batch, tau: float) -> ad.Tensor:
-    """Mean negative log-probability of the true class, on the tape.
+def classification_loss(zs, labels, embs, which, tau: float) -> ad.Tensor:
+    """Mean negative log-probability of the true class over the batch, as one node.
 
-    ``batch`` is a list of (z, label_index, text_embeddings) where z is a raw
-    embedding, label_index points into text_embeddings, and text_embeddings
-    is the (K, d) tensor of the candidate classes' text embeddings.
+    Row i of the (B, d) ``zs`` is an image embedding, ``labels[i]`` its
+    class's row among the candidates, and ``embs[which[i]]`` the (K, d) text
+    embeddings of the candidates under its selection; ``embs`` holds one
+    tensor per distinct selection. Each takes the sum of its samples'
+    gradients in reverse sample order, the first as is, as backward would
+    add B per-sample nodes.
     """
-    if not batch:
+    zs = np.asarray(zs, dtype=np.float64)
+    if not len(zs):
         raise ValueError("classification_loss: empty batch")
     if tau <= 0:
         raise ValueError("tau must be positive")
+    k = embs[0].shape[0]
+    for label in labels:
+        if not 0 <= label < k:
+            raise IndexError(f"label index {label} out of range for {k} classes")
+    rows, labels, which = np.arange(len(zs)), np.asarray(labels), np.asarray(which)
     inv_tau = 1.0 / tau
-    nlls = []
-    for z, label, embs in batch:
-        if not 0 <= label < embs.shape[0]:
-            raise IndexError(f"label index {label} out of range for {embs.shape[0]} classes")
-        zc = ad.constant(np.asarray(z, dtype=np.float64))
-        logits = ad.cosine_logits(zc, embs, inv_tau)
-        nlls.append(ad.neg_log_prob(logits, label))
-    return ad.mean_all(ad.concat(nlls))
+    c, grads = ad.cosines(zs, np.stack([embs[u].values for u in which]))
+    logits = c * inv_tau
+    m = logits.max(axis=1)
+    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    out = ad.Tensor((lse - logits[rows, labels]).mean())
+
+    def grad_fn(g):
+        p = np.exp(logits - lse[:, None])  # softmax minus one-hot, per sample
+        p[rows, labels] -= 1.0
+        g_embs = grads(((float(g) / len(zs)) * p) * inv_tau, da=False)[1][::-1]
+        return tuple(np.add.accumulate(g_embs[which[::-1] == u], axis=0)[-1]
+                     for u in range(len(embs)))
+
+    return ad.record("classification_loss", tuple(embs), out, grad_fn)
 
 
-def _relu(t: ad.Tensor) -> ad.Tensor:
-    # max(0, x) = (x + |x|) / 2
-    return ad.scale(ad.add(t, ad.absolute(t)), 0.5)
+def key_matching_loss(zs, selections, bank: AttributeBank, distance: str) -> ad.Tensor:
+    """Mean over the batch of each image's summed distance to its selected keys, as one node.
 
-
-def key_matching_loss(z: np.ndarray, sel: Selection, bank: AttributeBank,
-                      distance: str) -> ad.Tensor:
-    """Distance from z to each selected key, summed; gradients reach only
-    the selected keys (z is a constant, negatives are detached).
-
-    The triplet negative is ``sel.negative``, fixed when the selection was
-    made: a pinned selection keeps it while the keys move, so central
-    differences measure the detached branch the optimizer follows.
+    Row i of the (B, d) ``zs`` is matched against the keys of
+    ``selections[i]``; all selections have one length. Gradients reach only
+    the selected keys (z is a constant, negatives are detached), added in
+    reverse sample order. The triplet negative is ``sel.negative``, fixed
+    when the selection was made: a pinned selection keeps it while the keys
+    move, so central differences measure the detached branch the optimizer
+    follows.
     """
-    if distance == "triplet" and sel.negative is None:
+    triplet = distance == "triplet"
+    if triplet and any(sel.negative is None for sel in selections):
         raise ValueError("triplet variant needs at least one unselected key as negative")
-    zc = ad.constant(np.asarray(z, dtype=np.float64))
-    keys = ad.take(bank.keys, sel.indices)
-    if distance == "mse":
-        # ||z/|z| - k/|k|||^2 == 2 - 2 cos(z, k); both vectors unit-normalized
-        terms = ad.add(ad.cosine_logits(zc, keys, -2.0), 2.0)
-    else:
-        terms = ad.add(ad.cosine_logits(zc, keys, -1.0), 1.0)
-        if distance == "triplet":
-            terms = _relu(ad.add(terms, TRIPLET_MARGIN - sel.negative))
-    return ad.sum_all(terms)
+    index = np.array([sel.indices for sel in selections])
+    c, grads = ad.cosines(np.asarray(zs, dtype=np.float64), bank.keys.values[index])
+    # ||z/|z| - k/|k|||^2 == 2 - 2 cos(z, k); both vectors unit-normalized
+    weight = 2.0 if distance == "mse" else 1.0
+    terms = c * -weight + weight
+    if triplet:
+        terms += TRIPLET_MARGIN - np.array([sel.negative for sel in selections])[:, None]
+    inv_b = 1.0 / len(index)
+    out = ad.Tensor(((terms + np.abs(terms)) * 0.5 if triplet else terms).sum(axis=1).sum() * inv_b)
+
+    def grad_fn(g):
+        g_terms = np.full(c.shape, float(g * inv_b))
+        if triplet:  # max(0, x) as (x + |x|) / 2: the x branch, then the |x| one
+            g_terms = g_terms * 0.5 + g_terms * 0.5 * np.sign(terms)
+        grad = np.zeros_like(bank.keys.values)
+        np.add.at(grad, index[::-1], grads(g_terms * -weight, da=False)[1][::-1])
+        return (grad,)
+
+    return ad.record("key_matching_loss", (bank.keys,), out, grad_fn)
 
 
 def prompt_orthogonality_loss(bank: AttributeBank, text_encoder) -> ad.Tensor:
     """Mean |cosine| over all ordered prompt-embedding pairs.
 
     Every prompt is encoded standalone (no class token), all n as one (n, d)
-    node; the sum runs over the upper triangle and is normalized by n*(n-1),
-    so two identical prompts in a bank of two give 0.5. Defined as 0 for a
-    single-entry bank.
+    node; the sum runs over the upper triangle in row-major order, as one
+    more node, and is normalized by n*(n-1), so two identical prompts in a
+    bank of two give 0.5. Defined as 0 for a single-entry bank.
     """
     n = bank.n
     if n == 1:
         return ad.constant(0.0)
     embs = text_encoder.encode_text(TokenSequence(bank.prompts))
-    # Row i holds the pairs (i, j) for j > i, so the concat is the upper
-    # triangle in row-major order.
-    pairs = [ad.cosine_logits(ad.take(embs, i), ad.take(embs, range(i + 1, n)), 1.0)
-             for i in range(n - 1)]
-    return ad.scale(ad.sum_all(ad.absolute(ad.concat(pairs))), 1.0 / (n * (n - 1)))
+    e = embs.values
+    c, grads = ad.cosines(e, np.broadcast_to(e, (n, *e.shape)))
+    upper = np.triu_indices(n, 1)
+    inv_pairs = 1.0 / (n * (n - 1))
+    out = ad.Tensor(np.abs(c[upper]).sum() * inv_pairs)
+
+    def grad_fn(g):
+        g_c = np.zeros_like(c)  # pairs (i, j <= i) add exact zeros below
+        g_c[upper] = float(g * inv_pairs) * np.sign(c[upper])
+        g_a, g_b = grads(g_c)
+        # Row j takes d/da of its pairs (j, .), then d/db of (i, j) for i = n-1 ... 0:
+        # backward's order over the per-pair nodes for i = n-2 ... 0.
+        return (np.add.accumulate(np.concatenate([g_a[None], g_b[::-1]]), axis=0)[-1],)
+
+    return ad.record("prompt_orthogonality_loss", (embs,), out, grad_fn)
 
 
 def total_loss(l_m: ad.Tensor, l_k: ad.Tensor, l_p: ad.Tensor,

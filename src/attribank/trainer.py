@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .bank import KEY_NORM_FLOOR, AttributeBank, class_text_embeddings, init_bank, route
+from .bank import KEY_NORM_FLOOR, AttributeBank, compose_text_input, init_bank, route
 from .encoders import FrozenEncoderPair
 from .objective import (DISTANCES, LossBreakdown, breakdown, classification_loss,
                         key_matching_loss, prompt_orthogonality_loss, total_loss)
-from .util import keyed_rng
+from .util import check_number_types, keyed_rng
 
 _CTX_SHARED_PROMPT, _CTX_SHUFFLE = 41, 42
 
@@ -60,6 +60,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_number_types(self)
         if self.distance not in DISTANCES:
             raise ValueError(f"distance must be one of {DISTANCES}, got {self.distance!r}")
         if self.epochs_per_task < 1 or self.batch_size < 1:
@@ -170,12 +171,15 @@ def _diagnostic_dump(batch, encoders) -> str:
 def forward(state: LearnerState, batch, config: TrainConfig, selections=None):
     """The learner's forward pass on the tape; returns (L_m, L_k, L_p, selections).
 
-    ``selections`` holds one ``Selection`` per image (None without a bank).
-    Without it each image is routed by the current keys; passing the
-    selections of an earlier call pins them, triplet negatives included, so
-    gradient checks stay on one smooth branch. A loss term whose weight is
-    0 is not built and reads 0.
+    ``selections`` holds one ``Selection`` per image. Without it each image
+    is routed by the current keys; passing the selections of an earlier call
+    pins them, triplet negatives included, so gradient checks stay on one
+    smooth branch. The tape gets one text-tower node per distinct selection
+    and one node per loss term; a term whose weight is 0 is not built and
+    reads 0.
     """
+    if state.bank is None:
+        raise ValueError(f"forward: mode {state.mode!r} has no bank to train")
     if not batch:
         raise ValueError("forward: empty batch")
     config = preset(state.mode, config)
@@ -186,25 +190,19 @@ def forward(state: LearnerState, batch, config: TrainConfig, selections=None):
     for sample in batch:
         if sample.label not in label_index:
             raise ValueError(f"sample label {sample.label} not registered")
-    zs = [enc.encode_image(sample) for sample in batch]
-    with_lk = config.lambda_k > 0
+    zs = np.stack([enc.encode_image(sample) for sample in batch])
     if selections is None:
         selections = [route(z, bank, config.c) for z in zs]
 
-    # Images that share a selection share its (K, d) class embeddings; cache
-    # them for the duration of this forward pass.
-    text_cache: dict = {}
+    # Images that share a selection share its (K, d) class embeddings.
+    distinct = {sel.index_tuple: sel for sel in selections}
+    slot = {key: u for u, key in enumerate(distinct)}
     class_rows = state.class_token_rows(candidates)
-    entries = []
-    lk_terms = []
-    for sample, z, sel in zip(batch, zs, selections):
-        embs = class_text_embeddings(enc, bank, sel, class_rows, text_cache)
-        entries.append((z, label_index[sample.label], embs))
-        if with_lk:
-            lk_terms.append(key_matching_loss(z, sel, bank, config.distance))
-
-    l_m = classification_loss(entries, config.tau)
-    l_k = (ad.scale(ad.sum_all(ad.concat(lk_terms)), 1.0 / len(batch)) if with_lk
+    embs = [enc.encode_text(compose_text_input(sel, bank), class_rows)
+            for sel in distinct.values()]
+    l_m = classification_loss(zs, [label_index[sample.label] for sample in batch], embs,
+                              [slot[sel.index_tuple] for sel in selections], config.tau)
+    l_k = (key_matching_loss(zs, selections, bank, config.distance) if config.lambda_k > 0
            else ad.constant(0.0))
     l_p = prompt_orthogonality_loss(bank, enc) if config.lambda_p > 0 else ad.constant(0.0)
     return l_m, l_k, l_p, selections
@@ -212,8 +210,6 @@ def forward(state: LearnerState, batch, config: TrainConfig, selections=None):
 
 def train_step(state: LearnerState, batch, config: TrainConfig, lr: float) -> LossBreakdown:
     """One forward/backward/SGD step on the bank at rate ``lr``; returns pre-step losses."""
-    if state.bank is None:
-        raise ValueError(f"train_step: mode {state.mode!r} has no bank to train")
     config = preset(state.mode, config)
     params = state.trainable_parameters()
 

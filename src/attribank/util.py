@@ -1,9 +1,11 @@
-"""Seeded randomness, content hashing and atomic file writes."""
+"""Seeded randomness, content hashing, atomic file writes and setting types."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import numbers
 import os
 
 import numpy as np
@@ -21,6 +23,17 @@ def keyed_rng(seed: int, *context: int) -> np.random.Generator:
         raise ValueError(f"seed must be non-negative, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(c) for c in context))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def check_number_types(settings) -> None:
+    """Raise ``TypeError`` unless every int field of the dataclass ``settings``
+    holds an integer and every float field a real number; a bool is neither."""
+    for f in dataclasses.fields(settings):
+        kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+        value = getattr(settings, f.name)
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            wanted = "an integer" if f.type == "int" else "a real number"
+            raise TypeError(f"{f.name} must be {wanted}, got {value!r}")
 
 
 def content_hash(*parts) -> str:

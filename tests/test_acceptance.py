@@ -100,13 +100,13 @@ def test_criterion_2_oracle_equivalence():
         worst = max(worst, float(np.abs(p - p_oracle).max() / np.abs(p_oracle).max()))
 
         label = int(g.integers(5))
-        lm = classification_loss([(z, label, ad.constant(np.stack(embs)))], tau).item()
+        lm = classification_loss([z], [label], [ad.constant(np.stack(embs))], [0], tau).item()
         lm_oracle = -np.log(p_oracle[label])
         worst = max(worst, abs(lm - lm_oracle) / max(1.0, abs(lm_oracle)))
 
         bank = init_bank(6, 2, 8, seed=seed)
         sel = select_top_c(z, bank, 3)
-        lk = key_matching_loss(z, sel, bank, "cosine").item()
+        lk = key_matching_loss([z], [sel], bank, "cosine").item()
         lk_oracle = sum(1.0 - cos(z, bank.keys.values[i]) for i in sel.indices)
         worst = max(worst, abs(lk - lk_oracle) / max(1.0, abs(lk_oracle)))
 

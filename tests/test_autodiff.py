@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from attribank import autodiff as ad
+from attribank.bank import AttributeBank, Selection
 from attribank.encoders import FrozenEncoderPair, TokenSequence
+from attribank.objective import (classification_loss, key_matching_loss,
+                                 prompt_orthogonality_loss)
 
 from conftest import rng
-from reference import cosine_sim, matmul, mul, softmax_logits, transpose
+from reference import (absolute, concat, cosine_logits, cosine_sim, matmul, mean_all, mul,
+                       neg_log_prob, softmax_logits, sum_all, take, transpose)
 
 
 def matmul_oracle(a, b):
@@ -23,7 +27,7 @@ def matmul_oracle(a, b):
 
 
 def weighted_sum(t, weights):
-    return ad.sum_all(mul(t, ad.constant(weights)))
+    return sum_all(mul(t, ad.constant(weights)))
 
 
 def test_matmul_matches_triple_loop_oracle():
@@ -64,7 +68,7 @@ def test_cosine_sim_self_is_one():
 
 def test_backward_sum_gives_ones():
     v = ad.parameter(rng(2).standard_normal(7))
-    ad.backward(ad.sum_all(v))
+    ad.backward(sum_all(v))
     np.testing.assert_array_equal(v.grad, np.ones(7))
 
 
@@ -80,7 +84,7 @@ def test_backward_detached_leaf_gets_zero_grad():
     u = ad.parameter(np.ones(3))
     v = ad.parameter(np.ones(3))
     mul(u, ad.constant(np.full(3, 2.0)))  # u participates in the tape
-    loss = ad.sum_all(v)                     # but the loss does not reach it
+    loss = sum_all(v)                     # but the loss does not reach it
     ad.backward(loss)
     np.testing.assert_array_equal(u.grad, np.zeros(3))
 
@@ -93,7 +97,7 @@ def test_backward_rejects_non_scalar():
 
 def test_fd_check_squared_l2_norm():
     v = ad.parameter(np.array([1.0, 2.0]))
-    err = ad.finite_difference_check(lambda t: ad.sum_all(mul(t, t)), v, h=1e-5)
+    err = ad.finite_difference_check(lambda t: sum_all(mul(t, t)), v, h=1e-5)
     assert err <= 1e-8
     np.testing.assert_allclose(v.grad, 2.0 * v.values, rtol=1e-12)
 
@@ -130,6 +134,16 @@ def _fd_cases(seed):
     w12 = g.standard_normal(12)
     tails = g.standard_normal((2, 4))
     w24 = g.standard_normal((2, 4))
+    zs = g.standard_normal((3, 4))
+    keys = g.standard_normal((5, 4))
+    # Hinges held away from the kink: (1 - cos) - neg + margin is at least
+    # 1.2 for neg = -1 and at most -0.8 for neg = 3.
+    sels = [Selection([2, 0], negative=-1.0), Selection([4, 2], negative=3.0),
+            Selection([2, 0], negative=3.0)]
+
+    def keys_loss(distance):
+        return lambda t: key_matching_loss(zs, sels, AttributeBank(t, ad.constant(x)), distance)
+
     cases = {
         "matmul_left": (x, lambda t: weighted_sum(matmul(t, ad.constant(m42)), w32)),
         "matmul_vec": (v, lambda t: weighted_sum(matmul(ad.constant(x), t), w3)),
@@ -137,17 +151,17 @@ def _fd_cases(seed):
         "add_scalar": (v, lambda t: weighted_sum(ad.add(t, 1.7), w4)),
         "mul": (v, lambda t: weighted_sum(mul(t, ad.constant(c4)), w4)),
         "scale": (v, lambda t: weighted_sum(ad.scale(t, -2.3), w4)),
-        "concat": (v, lambda t: weighted_sum(ad.concat([t, ad.constant(c2)]), w6)),
+        "concat": (v, lambda t: weighted_sum(concat([t, ad.constant(c2)]), w6)),
         "transpose": (x, lambda t: weighted_sum(transpose(t), wxt)),
         # row 2 read twice: both reads accumulate into it; row 1 gets nothing
         "take": (x, lambda t: weighted_sum(
-            ad.concat([ad.take(t, 2), ad.take(t, 0), ad.take(t, 2)]), w12)),
+            concat([take(t, 2), take(t, 0), take(t, 2)]), w12)),
         "cosine_sim": (v, lambda t: cosine_sim(t, ad.constant(c4))),
         "cosine_logits": (v, lambda t: weighted_sum(
-            ad.cosine_logits(t, ad.constant(np.stack([c4, w4])), -1.3), c2)),
+            cosine_logits(t, ad.constant(np.stack([c4, w4])), -1.3), c2)),
         # the differentiated tensor is the rows, read out of order; row 1 gets nothing
         "cosine_logits_entries": (x, lambda t: weighted_sum(
-            ad.cosine_logits(ad.constant(c4), ad.take(t, [2, 0]), 0.7), c2)),
+            cosine_logits(ad.constant(c4), take(t, [2, 0]), 0.7), c2)),
         # a stack's rows [2, 0] as the prefix of both tails; entry 1 gets nothing
         "encode_text_prefix": (x[:, None], lambda t: weighted_sum(
             _TOWER.encode_text(TokenSequence(t, [2, 0]), ad.constant(tails)), w24)),
@@ -155,10 +169,19 @@ def _fd_cases(seed):
             _TOWER.encode_text(TokenSequence(ad.constant(x[:, None]), [2, 0, 1]), t), w24)),
         "softmax_vec": (v, lambda t: weighted_sum(softmax_logits(t), w4)),
         "softmax_rows": (x, lambda t: weighted_sum(softmax_logits(t), wx)),
-        "neg_log_prob": (v, lambda t: ad.neg_log_prob(t, 2)),
-        "abs": (v, lambda t: weighted_sum(ad.absolute(t), w4)),
-        "sum": (v, lambda t: ad.sum_all(t)),
-        "mean": (x, lambda t: ad.mean_all(t)),
+        "neg_log_prob": (v, lambda t: neg_log_prob(t, 2)),
+        "abs": (v, lambda t: weighted_sum(absolute(t), w4)),
+        "sum": (v, lambda t: sum_all(t)),
+        "mean": (x, lambda t: mean_all(t)),
+        # samples 0 and 2 share the differentiated selection's embeddings
+        "classification_loss": (x, lambda t: classification_loss(
+            zs, [2, 0, 1], [t, ad.constant(wx)], [0, 1, 0], 0.3)),
+        "key_matching_cosine": (keys, keys_loss("cosine")),
+        "key_matching_mse": (keys, keys_loss("mse")),
+        "key_matching_triplet": (keys, keys_loss("triplet")),
+        # three prompts of one token through the tower, then the pair node
+        "prompt_orthogonality": (x[:, None], lambda t: prompt_orthogonality_loss(
+            AttributeBank(ad.constant(x), t), _TOWER)),
     }
     return cases
 
@@ -182,7 +205,7 @@ def test_backward_is_linear():
         return cosine_sim(t, ad.constant(c1))
 
     def h(t):
-        return ad.sum_all(mul(t, ad.constant(c2)))
+        return sum_all(mul(t, ad.constant(c2)))
 
     v = ad.parameter(base.copy())
     ad.reset_tape()
@@ -205,10 +228,10 @@ def test_cosine_logits_matches_scaled_cosine_chain_bit_for_bit():
         b = ad.parameter(b0.copy())
         ad.reset_tape()
         if fused:
-            logits = ad.cosine_logits(a, b, 2.5)
+            logits = cosine_logits(a, b, 2.5)
         else:
-            logits = ad.concat([ad.scale(cosine_sim(a, ad.take(b, i)), 2.5) for i in range(k)])
-        ad.backward(ad.neg_log_prob(mul(logits, ad.constant(w)), k // 2))
+            logits = concat([ad.scale(cosine_sim(a, take(b, i)), 2.5) for i in range(k)])
+        ad.backward(neg_log_prob(mul(logits, ad.constant(w)), k // 2))
         return logits.values, a.grad, b.grad
 
     for k, d in [(4, 5), (1, 32), (20, 32), (80, 32), (80, 1)]:
@@ -221,17 +244,17 @@ def test_cosine_logits_matches_scaled_cosine_chain_bit_for_bit():
 def test_cosine_logits_rejects_bad_inputs():
     v = ad.parameter(np.ones(3))
     with pytest.raises(ad.ShapeError):
-        ad.cosine_logits(v, ad.constant(np.ones((1, 4))), 1.0)
+        cosine_logits(v, ad.constant(np.ones((1, 4))), 1.0)
     with pytest.raises(ad.ShapeError):
-        ad.cosine_logits(v, ad.constant(np.ones((0, 3))), 1.0)
+        cosine_logits(v, ad.constant(np.ones((0, 3))), 1.0)
     with pytest.raises(ad.NumericError):
-        ad.cosine_logits(v, ad.constant(np.ones((1, 3))), np.inf)
+        cosine_logits(v, ad.constant(np.ones((1, 3))), np.inf)
 
 
 def test_tape_replay_is_bit_identical():
     g = rng(12)
     v = ad.parameter(g.standard_normal(6))
-    loss = ad.neg_log_prob(softmax_logits(mul(v, v)), 1)
+    loss = neg_log_prob(softmax_logits(mul(v, v)), 1)
     ad.backward(loss)
     first = v.grad.copy()
     ad.backward(loss)
@@ -241,7 +264,7 @@ def test_tape_replay_is_bit_identical():
 def test_constant_inputs_never_accumulate_gradient():
     c = ad.constant(np.ones(3))
     v = ad.parameter(np.ones(3))
-    ad.backward(ad.sum_all(mul(c, v)))
+    ad.backward(sum_all(mul(c, v)))
     assert c.grad is None
     assert v.grad is not None
 
@@ -249,24 +272,24 @@ def test_constant_inputs_never_accumulate_gradient():
 def test_concat_promotes_scalars():
     parts = [cosine_sim(ad.constant([1.0, 0.0]), ad.constant([1.0, 0.0])),
              ad.constant(2.5)]
-    out = ad.concat(parts)
+    out = concat(parts)
     assert out.shape == (2,)
 
 
 def test_take_row_out_of_range():
     with pytest.raises(IndexError, match="take"):
-        ad.take(ad.parameter(np.zeros((2, 3))), 2)
+        take(ad.parameter(np.zeros((2, 3))), 2)
     with pytest.raises(IndexError, match="take"):
-        ad.take(ad.parameter(np.zeros((2, 3))), -1)
+        take(ad.parameter(np.zeros((2, 3))), -1)
     with pytest.raises(IndexError, match="take"):
-        ad.take(ad.parameter(np.zeros((2, 3))), [0, 2])
+        take(ad.parameter(np.zeros((2, 3))), [0, 2])
     with pytest.raises(IndexError, match="take"):
-        ad.take(ad.parameter(np.zeros((2, 3))), [1, 1])
+        take(ad.parameter(np.zeros((2, 3))), [1, 1])
 
 
 def test_neg_log_prob_index_out_of_range():
     with pytest.raises(IndexError):
-        ad.neg_log_prob(ad.constant([0.1, 0.2]), 2)
+        neg_log_prob(ad.constant([0.1, 0.2]), 2)
 
 
 def test_add_shape_mismatch_raises():

@@ -9,7 +9,7 @@ from attribank.bank import (class_text_embeddings, compose_text_input, init_bank
 from attribank.encoders import FrozenEncoderPair
 
 from conftest import rng
-from reference import cosine_sim, score
+from reference import cosine_sim, score, sum_all
 
 
 def np_cosine(u, v):
@@ -227,7 +227,7 @@ def test_compose_routes_gradient_to_selected_prompts_only():
     assert seq.tokens is bank.prompts and seq.rows == sel.indices
     enc = FrozenEncoderPair(d=5, image_width=5, seed=11, max_tokens=8)
     ad.reset_tape()
-    ad.backward(ad.sum_all(enc.encode_text(seq, ad.constant(rng(12).standard_normal((3, 5))))))
+    ad.backward(sum_all(enc.encode_text(seq, ad.constant(rng(12).standard_normal((3, 5))))))
     for i in range(4):
         if i in sel.indices:
             assert (bank.prompts.grad[i] != 0).all(), i

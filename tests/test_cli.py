@@ -371,7 +371,7 @@ def test_gradcheck_rejects_oversized_problem(capsys):
     assert "unrecognized arguments: --d 64" in capsys.readouterr().err
 
 
-def cdcl_config(tmp_path):
+def cdcl_config(tmp_path, **top):
     spec = {"num_latent_attributes": 6, "attributes_per_class": 2, "num_tasks": 2,
             "classes_per_task": 2, "samples_per_class": 4, "feature_dim": 8,
             "noise_sigma": 0.05, "seed": 3}
@@ -379,6 +379,7 @@ def cdcl_config(tmp_path):
         "train": {"n": 4, "m": 2, "c": 2, "epochs_per_task": 1, "batch_size": 4,
                   "tau": 0.2, "seed": 1},
         "data": {"kind": "synthetic_pair", "a": spec, "b": spec, "shared_attributes": 3},
+        **top,
     }
     path = tmp_path / "cdcl.json"
     path.write_text(json.dumps(cfg))
@@ -406,6 +407,45 @@ def test_cdcl_zero_shot_mode_has_zero_transfers(tmp_path):
     rep = json.loads((out / "cdcl_report.json").read_text())["reports"]["zero_shot"]
     assert rep["ft"] == 0.0
     assert rep["bt"] == 0.0
+
+
+def test_cdcl_honours_the_config_mode(tmp_path):
+    out = tmp_path / "cdcl"
+    rc = cli.main(["cdcl", "--config", cdcl_config(tmp_path, mode="zero_shot"),
+                   "--out", str(out)])
+    assert rc == 0
+    assert set(json.loads((out / "cdcl_report.json").read_text())["reports"]) == {"zero_shot"}
+
+
+def test_cdcl_with_an_unknown_config_mode_exits_1(tmp_path, capsys):
+    rc = cli.main(["cdcl", "--config", cdcl_config(tmp_path, mode="bogus"),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+
+
+# Numbers of the wrong type. Unchecked, the first six ended in a traceback and
+# the last three ran: the seed and shared_attributes truncated, tau read as 1.
+@pytest.mark.parametrize("command, section, key, value", [
+    ("train", "train", "epochs_per_task", 1.5),
+    ("train", "train", "batch_size", 7.5),
+    ("train", "train", "n", 6.0),
+    ("train", "synthetic", "feature_dim", 16.5),
+    ("train", "synthetic", "samples_per_class", 2.5),
+    ("cdcl", "data", "shared_attributes", "x"),
+    ("train", "train", "seed", 1.5),
+    ("cdcl", "data", "shared_attributes", 1.7),
+    ("train", "train", "tau", True),
+])
+def test_number_of_the_wrong_type_exits_1(tmp_path, capsys, command, section, key, value):
+    path = cdcl_config(tmp_path) if command == "cdcl" else write_config(tmp_path)
+    raw = json.loads(open(path).read())
+    target = raw["data"]["synthetic"] if section == "synthetic" else raw[section]
+    target[key] = value
+    with open(path, "w") as f:
+        json.dump(raw, f)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_sweep_continues_past_invalid_value(tmp_path):

@@ -5,7 +5,7 @@ from attribank import autodiff as ad
 from attribank.encoders import FrozenEncoderPair, ImageSample, TokenSequence
 
 from conftest import rng
-from reference import mul, text_tower
+from reference import mul, sum_all, text_tower
 
 
 def make_pair(seed=0, d=8, width=6, max_tokens=12, backend="toy"):
@@ -76,7 +76,7 @@ def test_encode_text_gradient_matches_finite_differences():
     for seed in range(3):
         tokens = ad.parameter(start + 0.1 * seed)
         err = ad.finite_difference_check(
-            lambda t: ad.sum_all(enc.encode_text(TokenSequence(t))), tokens, h=1e-5)
+            lambda t: sum_all(enc.encode_text(TokenSequence(t))), tokens, h=1e-5)
         assert err <= 1e-5
 
 
@@ -92,7 +92,7 @@ def test_encode_text_is_order_sensitive():
 def test_text_weights_receive_no_gradient():
     enc = make_pair(15)
     tokens = ad.parameter(rng(16).standard_normal((3, 8)))
-    ad.backward(ad.sum_all(enc.encode_text(TokenSequence(tokens))))
+    ad.backward(sum_all(enc.encode_text(TokenSequence(tokens))))
     assert tokens.grad is not None and np.abs(tokens.grad).max() > 0
     # The tower's node has the tokens as its only input: the frozen weights
     # are read as plain arrays, so no gradient buffer can exist for them.
@@ -127,7 +127,7 @@ def test_encode_text_matches_primitive_chain_bit_for_bit():
         x = ad.parameter(start.copy())
         ad.reset_tape()
         out = enc.encode_text(TokenSequence(x)) if fused else text_tower(enc, x)
-        ad.backward(ad.sum_all(mul(out, ad.constant(weights.reshape(out.shape)))))
+        ad.backward(sum_all(mul(out, ad.constant(weights.reshape(out.shape)))))
         results.append((out.values.reshape(-1), x.grad))
     np.testing.assert_array_equal(results[0][0], results[1][0])
     np.testing.assert_array_equal(results[0][1], results[1][1])

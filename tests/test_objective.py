@@ -4,11 +4,12 @@ import pytest
 from attribank import autodiff as ad
 from attribank.bank import init_bank, select_top_c
 from attribank.encoders import FrozenEncoderPair, TokenSequence
-from attribank.objective import (classification_loss, key_matching_loss,
+from attribank.objective import (DISTANCES, classification_loss, key_matching_loss,
                                  prompt_orthogonality_loss, total_loss, breakdown)
 
 from conftest import rng
-from reference import predict_probabilities
+from reference import (classification_chain, key_matching_chain, orthogonality_chain,
+                       predict_probabilities)
 
 D = 8
 
@@ -93,9 +94,13 @@ def as_rows(embs):
     return ad.constant(np.stack(embs))
 
 
+def one_sample_loss(z, label, embs, tau):
+    return classification_loss([z], [label], [as_rows(embs)], [0], tau)
+
+
 def test_classification_loss_single_class_is_zero():
     z, embs, tau = random_instance(6, k=1)
-    loss = classification_loss([(z, 0, as_rows(embs))], tau)
+    loss = one_sample_loss(z, 0, embs, tau)
     assert loss.item() == 0.0
 
 
@@ -103,7 +108,7 @@ def test_classification_loss_uniform_logits_is_log_k():
     z = rng(7).standard_normal(D)
     w = rng(8).standard_normal(D)
     for k in (2, 3, 7):
-        loss = classification_loss([(z, 0, as_rows([w] * k))], tau=0.5)
+        loss = one_sample_loss(z, 0, [w] * k, tau=0.5)
         assert abs(loss.item() - np.log(k)) < 1e-9
 
 
@@ -112,27 +117,28 @@ def test_classification_loss_matches_cross_entropy_oracle():
         g = rng(seed)
         z, embs, tau = random_instance(seed, k=4, tau=0.07)
         label = int(g.integers(4))
-        got = classification_loss([(z, label, as_rows(embs))], tau).item()
+        got = one_sample_loss(z, label, embs, tau).item()
         assert abs(got - cross_entropy_oracle(z, label, embs, tau)) <= 1e-10 * max(1.0, got)
 
 
 def test_classification_loss_batch_is_mean():
-    entries = []
-    expected = []
+    zs, labels, rows, expected = [], [], [], []
     for seed in range(4):
         g = rng(100 + seed)
         z, embs, tau = random_instance(100 + seed, k=3, tau=0.2)
         label = int(g.integers(3))
-        entries.append((z, label, as_rows(embs)))
+        zs.append(z)
+        labels.append(label)
+        rows.append(as_rows(embs))
         expected.append(cross_entropy_oracle(z, label, embs, 0.2))
-    got = classification_loss(entries, 0.2).item()
+    got = classification_loss(zs, labels, rows, range(4), 0.2).item()
     np.testing.assert_allclose(got, np.mean(expected), rtol=1e-10)
 
 
 def test_classification_loss_label_out_of_range():
     z, embs, tau = random_instance(9)
     with pytest.raises(IndexError):
-        classification_loss([(z, len(embs), as_rows(embs))], tau)
+        one_sample_loss(z, len(embs), embs, tau)
 
 
 def test_key_matching_collinear_keys_give_zero():
@@ -141,7 +147,7 @@ def test_key_matching_collinear_keys_give_zero():
     for i in range(4):
         bank.keys.values[i] = (i + 1.0) * z
     sel = select_top_c(z, bank, 3)
-    loss = key_matching_loss(z, sel, bank, "cosine")
+    loss = key_matching_loss([z], [sel], bank, "cosine")
     assert abs(loss.item()) < 1e-9
 
 
@@ -150,7 +156,7 @@ def test_key_matching_orthogonal_key_contributes_one():
     bank.keys.values[:] = [[0.0, 1.0], [-1.0, 0.0]]
     sel = select_top_c(np.array([1.0, 0.0]), bank, 1)
     assert sel.indices == [0]
-    loss = key_matching_loss(np.array([1.0, 0.0]), sel, bank, "cosine")
+    loss = key_matching_loss([np.array([1.0, 0.0])], [sel], bank, "cosine")
     assert abs(loss.item() - 1.0) < 1e-9
 
 
@@ -177,7 +183,7 @@ def test_key_matching_matches_per_term_oracle(variant):
         bank = init_bank(6, 1, D, seed=seed)
         z = rng(seed).standard_normal(D)
         sel = select_top_c(z, bank, 3)
-        got = key_matching_loss(z, sel, bank, variant).item()
+        got = key_matching_loss([z], [sel], bank, variant).item()
         want = key_loss_oracle(z, sel, bank.keys.values, variant)
         assert abs(got - want) <= 1e-10, f"{variant} seed {seed}"
 
@@ -186,7 +192,7 @@ def test_key_matching_gradients_reach_selected_keys_only():
     bank = init_bank(5, 1, D, seed=13)
     z = rng(14).standard_normal(D)
     sel = select_top_c(z, bank, 2)
-    ad.backward(key_matching_loss(z, sel, bank, "cosine"))
+    ad.backward(key_matching_loss([z], [sel], bank, "cosine"))
     for i in range(5):
         if i in sel.indices:
             assert np.abs(bank.keys.grad[i]).max() > 0
@@ -198,7 +204,7 @@ def test_key_matching_triplet_negative_is_detached():
     bank = init_bank(4, 1, D, seed=15)
     z = rng(16).standard_normal(D)
     sel = select_top_c(z, bank, 2)
-    loss = key_matching_loss(z, sel, bank, "triplet")
+    loss = key_matching_loss([z], [sel], bank, "triplet")
     # The hinge is active at the fixed margin, so the selected keys do get gradient.
     assert loss.item() > 0
     ad.backward(loss)
@@ -211,7 +217,7 @@ def test_key_matching_triplet_rejects_full_selection():
     z = rng(18).standard_normal(D)
     sel = select_top_c(z, bank, 3)
     with pytest.raises(ValueError, match="negative"):
-        key_matching_loss(z, sel, bank, "triplet")
+        key_matching_loss([z], [sel], bank, "triplet")
 
 
 class StubEncoder:
@@ -297,3 +303,77 @@ def test_breakdown_rejects_non_finite():
     with pytest.raises(ad.NumericError):
         breakdown(ad.constant(np.nan), ad.constant(0.0), ad.constant(0.0),
                   ad.constant(np.nan))
+
+
+# Each loss term is one node over the batch; its values and gradients are the
+# per-sample chain's in tests/reference.py, bit for bit, at an upstream
+# gradient other than 1.
+
+def routed_batch(b):
+    """B images around three centres, routed top-3 through a 6-entry bank, so
+    selections repeat across the batch while triplet negatives differ."""
+    bank = init_bank(6, 2, D, seed=b)
+    g = rng(200 + b)
+    centres = g.standard_normal((3, D))
+    zs = centres[np.arange(b) % 3] + 0.05 * g.standard_normal((b, D))
+    selections = [select_top_c(z, bank, 3) for z in zs]
+    assert b == 1 or len({sel.index_tuple for sel in selections}) < b
+    return bank, zs, selections
+
+
+def fused_and_chain(build, backward_into):
+    """(values, gradients) of ``build(fused)`` for the fused node and the chain."""
+    results = []
+    for fused in (True, False):
+        ad.reset_tape()
+        loss, params = build(fused)
+        ad.backward(ad.scale(loss, 0.7))
+        results.append([loss.values] + [backward_into(p) for p in params])
+    return results
+
+
+@pytest.mark.parametrize("b", [1, 8, 32])
+def test_classification_loss_is_its_per_sample_chain_bit_for_bit(b):
+    _, zs, selections = routed_batch(b)
+    distinct = list(dict.fromkeys(sel.index_tuple for sel in selections))
+    which = [distinct.index(sel.index_tuple) for sel in selections]
+    g = rng(300 + b)
+    starts = g.standard_normal((len(distinct), 5, D))
+    labels = g.integers(5, size=b)
+
+    def build(fused):
+        embs = [ad.parameter(s.copy()) for s in starts]
+        loss_fn = classification_loss if fused else classification_chain
+        return loss_fn(zs, labels, embs, which, 0.07), embs
+
+    got, want = fused_and_chain(build, lambda e: e.grad)
+    for a, w in zip(got, want):
+        np.testing.assert_array_equal(a, w)
+
+
+@pytest.mark.parametrize("distance", DISTANCES)
+@pytest.mark.parametrize("b", [1, 8, 32])
+def test_key_matching_loss_is_its_per_sample_chain_bit_for_bit(distance, b):
+    def build(fused):
+        bank, zs, selections = routed_batch(b)
+        loss_fn = key_matching_loss if fused else key_matching_chain
+        return loss_fn(zs, selections, bank, distance), [bank.keys]
+
+    got, want = fused_and_chain(build, lambda k: k.grad)
+    for a, w in zip(got, want):
+        np.testing.assert_array_equal(a, w)
+    assert got[1].any()
+
+
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_prompt_orthogonality_is_its_per_pair_chain_bit_for_bit(n):
+    enc = make_encoder(n)
+
+    def build(fused):
+        bank = init_bank(n, 2, D, seed=n)
+        loss_fn = prompt_orthogonality_loss if fused else orthogonality_chain
+        return loss_fn(bank, enc), [bank.prompts]
+
+    got, want = fused_and_chain(build, lambda p: p.grad)
+    for a, w in zip(got, want):
+        np.testing.assert_array_equal(a, w)

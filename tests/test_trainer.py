@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -9,12 +10,12 @@ from attribank import autodiff as ad
 from attribank import data_io as dio
 from attribank.bank import Selection, class_text_embeddings, init_bank, route, scores, select_top_c
 from attribank.encoders import FrozenEncoderPair, ImageSample, TokenSequence
-from attribank.objective import prompt_orthogonality_loss
+from attribank.objective import DISTANCES, prompt_orthogonality_loss
 from attribank.trainer import (SequenceError, TrainConfig, forward, init_state, lr_at,
                                run_sequence, train_step, train_task)
 
 from conftest import RecordingList, rng
-from reference import ChainTower, mul
+from reference import ChainTower, concat, mul, sum_all
 
 
 def tiny_stream(seed=1, tasks=2, classes=2, samples=6, dim=8):
@@ -139,10 +140,10 @@ def test_train_step_matches_fd_sgd_oracle():
         candidates = state.seen_classes()
         from attribank.bank import compose_text_input
         prefix = compose_text_input(frozen_sel, state.bank.frozen_view()).tokens
-        embs = ad.concat([state.encoders.encode_text(TokenSequence(ad.concat(
+        embs = concat([state.encoders.encode_text(TokenSequence(concat(
             [prefix, ad.constant(state.class_tokens[cid][None])]))) for cid in candidates])
-        l_m = classification_loss([(z, candidates.index(batch[0].label), embs)], cfg.tau)
-        l_k = key_matching_loss(z, frozen_sel, state.bank, cfg.distance)
+        l_m = classification_loss([z], [candidates.index(batch[0].label)], [embs], [0], cfg.tau)
+        l_k = key_matching_loss([z], [frozen_sel], state.bank, cfg.distance)
         l_p = prompt_orthogonality_loss(state.bank, state.encoders)
         val = float(total_loss(l_m, l_k, l_p, cfg.lambda_k, cfg.lambda_p).values)
         ad.reset_tape()
@@ -190,7 +191,7 @@ def test_training_class_embeddings_keep_the_unshared_arithmetic_bit_for_bit():
             embs = [class_text_embeddings(tower, bank, sel, class_rows, {}) for sel in sels]
             loss = prompt_orthogonality_loss(bank, tower)
             for e, w in zip(embs, weights):
-                loss = ad.add(loss, ad.sum_all(mul(e, ad.constant(w))))
+                loss = ad.add(loss, sum_all(mul(e, ad.constant(w))))
             ad.backward(loss)
             results.append([e.values for e in embs] + [loss.values, bank.prompts.grad])
         for got, want in zip(*results):
@@ -218,6 +219,77 @@ def test_forward_puts_one_tower_node_per_selection_whatever_the_class_count():
         lengths.append(len(ops))
     assert len(seen) == 20
     assert lengths[0] == lengths[1]
+
+
+def test_forward_without_a_bank_raises_value_error():
+    stream = tiny_stream(tasks=1)
+    cfg = tiny_config()
+    state = init_state("zero_shot", cfg, stream)
+    train_task(state, stream.tasks[0], cfg, class_tokens=stream.class_tokens)
+    with pytest.raises(ValueError, match="'zero_shot' has no bank"):
+        forward(state, stream.tasks[0].train[:2], cfg)
+
+
+@pytest.mark.parametrize("mode", ["attriclip", "shared_prompt"])
+def test_a_step_records_a_fixed_handful_of_nodes(mode, monkeypatch):
+    # attriclip: U tower nodes (one per distinct selection), L_m, L_k, L_p's
+    # encode and pair nodes, and total_loss's two scales and two adds.
+    # shared_prompt: one tower node, L_m and total_loss's two adds.
+    stream = tiny_stream(tasks=40, classes=2, samples=8)
+    cfg = tiny_config(n=6, c=2, lambda_k=0.7, lambda_p=0.3)
+    counts = []
+    backward = ad.backward
+
+    def counting_backward(loss):
+        counts.append(len(ad.active_tape()))
+        backward(loss)
+
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    for k in (4, 80):
+        seen = stream.all_class_ids()[:k]
+        pool = [s for task in stream.tasks for s in task.train if s.label in seen]
+        for b in (1, 8, 32):
+            state = init_state(mode, cfg, stream)
+            for cid in seen:
+                state.register_class(cid, stream.class_tokens[cid])
+            batch = pool[:b]
+            distinct = {route(state.encoders.encode_image(s), state.bank, cfg.c).index_tuple
+                        for s in batch}
+            assert b == 1 or mode == "shared_prompt" or len(distinct) > 1
+            train_step(state, batch, cfg, cfg.lr0)
+            want = len(distinct) + 8 if mode == "attriclip" else 4
+            assert counts[-1] == want, (k, b)
+
+
+# First 16 hex digits of sha256(keys + prompts + accuracy matrix bytes) after
+# run_sequence at batch sizes 1, 8 and 32, recorded with the per-sample loss
+# chains (numpy 2.4.6, x86-64). Training amplifies a one-ulp change, so a
+# loss node that rounds differently anywhere moves these.
+_TRAINING_BITS = {
+    ("cosine", "attriclip"): ("62cc0bcb0aa67e47", "6dcb5e7a0c36ab4b", "a4283d9efed8c4be"),
+    ("mse", "attriclip"): ("aa4068a49488a3cc", "4665f4426f94ca31", "4bb362373460aba7"),
+    ("triplet", "attriclip"): ("71060bd79fe67cb9", "0a9937bd95ec2e7b", "5a3e21024dee5af4"),
+    **{(d, "shared_prompt"): ("6548db658e20a82c", "54eafa68f60c8d5d", "ddaa9c3f35b1973b")
+       for d in DISTANCES},
+}
+
+
+def test_training_keeps_its_bits():
+    stream = dio.generate_synthetic(dio.SyntheticSpec(
+        num_latent_attributes=8, attributes_per_class=2, num_tasks=3, classes_per_task=4,
+        samples_per_class=12, feature_dim=16, seed=5))
+    got = {}
+    for distance, mode in _TRAINING_BITS:
+        digests = []
+        for b in (1, 8, 32):
+            cfg = TrainConfig(epochs_per_task=2, lr0=0.25, n=6, m=3, c=2, tau=0.05, seed=2,
+                              batch_size=b, distance=distance)
+            matrix, state = run_sequence(stream, cfg, mode=mode)
+            digests.append(hashlib.sha256(state.bank.keys.values.tobytes()
+                                          + state.bank.prompts.values.tobytes()
+                                          + matrix.a.tobytes()).hexdigest()[:16])
+        got[distance, mode] = tuple(digests)
+    assert got == _TRAINING_BITS
 
 
 def test_train_task_empty_dataset_errors_without_state_change():
