@@ -7,7 +7,7 @@ trained with a three-term objective on a minimal reverse-mode tape.
 """
 
 from .autodiff import Tensor, backward, constant, finite_difference_check, parameter, reset_tape
-from .bank import AttributeBank, Selection, compose_text_input, init_bank, select_top_c
+from .bank import AttributeBank, Selection, compose_text_input, init_bank, route
 from .data_io import (SyntheticSpec, Task, TaskStream, generate_synthetic,
                       generate_synthetic_pair, read_checkpoint, read_embedding_file,
                       write_checkpoint, write_embedding_file)

@@ -87,38 +87,44 @@ def init_bank(n: int, m: int, d: int, seed: int,
 
 
 def scores(z: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Cosine distances from z to each row of ``keys``, checked for finiteness once."""
+    """Cosine distances from z to each row of ``keys``, checked for finiteness once.
+
+    ``z`` is one (d,) embedding, giving (n,), or a (B, d) stack, giving (B, n);
+    row b of a stack's distances equals the call on ``z[b]``, bit for bit.
+    """
     if not (np.isfinite(z).all() and np.isfinite(keys).all()):
         raise ad.NumericError("score: non-finite input")
     return 1.0 - ad.cosines(z, keys)[0]
 
 
-def select_top_c(z: np.ndarray, bank: AttributeBank, c: int) -> Selection:
-    """The c keys with smallest cosine distance to z; ties break on low index.
+def select_top_c(distances: np.ndarray, c: int) -> Selection:
+    """The c entries of smallest distance in one image's distance row; ties break on low index.
 
-    The key after them in the same stable sort is the selection's negative.
+    The entry after them in the same stable sort is the selection's negative.
     Runs on raw values, outside the tape: selection is a hard, non-differentiable
     routing decision.
     """
-    if not 1 <= c <= bank.n:
-        raise ValueError(f"select_top_c: c={c} out of range for bank of {bank.n}")
-    distances = scores(z, bank.keys.values)
+    n = len(distances)
+    if not 1 <= c <= n:
+        raise ValueError(f"select_top_c: c={c} out of range for bank of {n}")
     order = np.argsort(distances, kind="stable")
-    return Selection(indices=[int(i) for i in order[:c]],
-                     negative=float(distances[order[c]]) if c < bank.n else None)
+    return Selection(indices=order[:c].tolist(),
+                     negative=float(distances[order[c]]) if c < n else None)
 
 
-def route(z: np.ndarray, bank: AttributeBank | None, c: int) -> Selection | None:
-    """The bank entries an image is routed to: its top-C keys.
+def route(zs: np.ndarray, bank: AttributeBank | None, c: int) -> list:
+    """The bank entries each image of the (B, d) ``zs`` is routed to: its top-C keys.
 
-    A one-entry bank routes every image to entry 0 without scoring it (the
-    selection then carries no negative); with no bank there is no routing.
+    One ``scores`` call covers the stack, then each row's pick is one
+    ``select_top_c`` call. A one-entry bank routes every image to entry 0
+    without scoring it (the selection then carries no negative); with no
+    bank every image routes to None.
     """
     if bank is None:
-        return None
+        return [None] * len(zs)
     if bank.n == 1:
-        return Selection(indices=[0])
-    return select_top_c(z, bank, c)
+        return [Selection(indices=[0]) for _ in zs]
+    return [select_top_c(row, c) for row in scores(zs, bank.keys.values)]
 
 
 def compose_text_input(sel: Selection, bank: AttributeBank) -> TokenSequence:

@@ -125,16 +125,31 @@ class FrozenEncoderPair:
     def checksum(self) -> str:
         return self.weights.checksum()
 
-    def encode_image(self, sample: ImageSample | np.ndarray) -> np.ndarray:
-        """Deterministic D-vector; never on the tape."""
-        x = sample.vector if isinstance(sample, ImageSample) else np.asarray(sample)
+    def encode_image(self, samples) -> np.ndarray:
+        """Deterministic embeddings; never on the tape.
+
+        One image (an ``ImageSample`` or a (w,) vector) gives a D-vector; a
+        (B, w) stack or a list or tuple of B images gives a (B, D) stack.
+        The toy backend multiplies each row on its own, as
+        ``w_image @ X[..., None]``, so row b is the one-image product of
+        image b, bit for bit; a gemm over the stack (``X @ w_image.T``) is not.
+        """
+        if isinstance(samples, (list, tuple)):
+            vectors = [s.vector if isinstance(s, ImageSample) else s for s in samples]
+            for i, v in enumerate(vectors):
+                if np.shape(v) != (self.image_width,):
+                    raise ad.ShapeError(f"encode_image: expected width {self.image_width}, "
+                                        f"got shape {np.shape(v)} for image {i}")
+            x = np.stack(vectors)
+        else:
+            x = samples.vector if isinstance(samples, ImageSample) else samples
         x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != self.image_width:
+        if x.ndim not in (1, 2) or x.shape[-1] != self.image_width:
             raise ad.ShapeError(
                 f"encode_image: expected width {self.image_width}, got shape {x.shape}")
         if self.backend == "lookup":
             return x
-        return self.weights.theta["w_image"] @ x
+        return (self.weights.theta["w_image"] @ x[..., None])[..., 0]
 
     def encode_text(self, seq: TokenSequence, tails: ad.Tensor | None = None) -> ad.Tensor:
         """Embed ``[seq; t_k]`` for every row t_k of the (K, d) ``tails``, as one (K, d) tensor.
@@ -222,9 +237,12 @@ class FrozenEncoderPair:
         and elementwise steps, each of which equals its per-slice call. So
         every row, forward and backward, is that of the primitive chain add,
         matmul, transpose, matmul, scale, softmax_logits, matmul, matmul,
-        matmul on its sequence alone, bit for bit. Training runs on it: the
-        prompt updates amplify a one-ulp change in the embeddings until the
-        accuracies move, so the prefix-shared arithmetic stays out of it.
+        matmul on its sequence alone, bit for bit. The elementwise steps run
+        in place, in that order; backward writes only into arrays it made
+        itself, so the arrays the node saved stay as forward left them.
+        Training runs on it: the prompt updates amplify a one-ulp change in
+        the embeddings until the accuracies move, so the prefix-shared
+        arithmetic stays out of it.
 
         With ``seq.rows`` the node reads the rows of the stack itself and adds
         each sequence's gradient into them in place, for k = K-1 ... 0: the
@@ -232,31 +250,37 @@ class FrozenEncoderPair:
         """
         x, rows = seq.tokens, seq.rows
         if rows is not None:
-            xs = x.values[rows].reshape(1, -1, self.d)
+            prefix = x.values[rows].reshape(1, -1, self.d)
         else:  # then there are no tails
-            xs = x.values.reshape(-1, *x.shape[-2:])
-        n = xs.shape[1]
-        if tails is not None:
-            xs = np.concatenate([np.broadcast_to(xs, (tails.shape[0], n, self.d)),
-                                 tails.values[:, None]], axis=1)
-        s = xs.shape[1]
+            prefix = x.values.reshape(-1, *x.shape[-2:])
+        n = prefix.shape[1]
         psi, alpha = self.weights.psi, self._inv_sqrt_d
-        mix, proj = psi["w_mix"], psi["w_proj"]
-        xp = xs + psi["pos"][:s]
+        mix, proj, pos = psi["w_mix"], psi["w_proj"], psi["pos"]
+        k = len(prefix) if tails is None else tails.shape[0]
+        xp = np.empty((k, n + (tails is not None), self.d))  # tokens plus positions
+        np.add(prefix, pos[:n], out=xp[:, :n])
+        if tails is not None:
+            np.add(tails.values, pos[n], out=xp[:, n])
+        s = xp.shape[1]
         xp_t = np.ascontiguousarray(xp.mT)
         xm = xp @ mix
-        scores = (xm @ xp_t) * alpha
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        attn = e / e.sum(axis=-1, keepdims=True)
+        attn = xm @ xp_t  # the scores, scaled, shifted, exponentiated and normalised in place
+        attn *= alpha
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
         pool = np.full(s, 1.0 / s)
         pooled = np.matmul(pool, attn @ xp)  # (s,) @ (K, s, d) -> (K, d)
 
         def grad_fn(g):
             g_mixed = pool[:, None] * (proj.T @ g[..., None]).mT  # one outer product per row
-            g_attn = g_mixed @ xp.mT
-            g_scores = ((g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * attn) * alpha
-            g_xp = attn.mT @ g_mixed + (xm.mT @ g_scores).mT
-            g_xs = g_xp + (g_scores @ xp_t.mT) @ mix.T
+            g_scores = g_mixed @ xp.mT  # d/d attn, then d/d scores in place
+            g_scores -= (g_scores * attn).sum(axis=-1, keepdims=True)
+            g_scores *= attn
+            g_scores *= alpha
+            g_xs = attn.mT @ g_mixed
+            g_xs += (xm.mT @ g_scores).mT
+            g_xs += (g_scores @ xp_t.mT) @ mix.T
             if rows is None:
                 return (g_xs.reshape(x.shape),)
             if x.requires_grad:

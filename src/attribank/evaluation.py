@@ -89,7 +89,8 @@ class CdclReport:
 def evaluate(state, test_set, candidate_classes, cache: dict | None = None) -> float:
     """Accuracy percent over test_set with predictions restricted to candidates.
 
-    Each sample's image is encoded and routed through the bank once. Samples
+    The test set's images are encoded as one stack and routed as one: a
+    single ``bank.scores`` call, then one top-C pick per sample. Samples
     that share a selection form a group; the group's candidate classes are
     embedded once, as a (K, d) matrix, and each sample predicts the class of
     highest guarded cosine similarity in the group's (rows x K) matrix.
@@ -114,11 +115,9 @@ def evaluate(state, test_set, candidate_classes, cache: dict | None = None) -> f
     bank = state.bank.frozen_view() if state.bank is not None else None
     class_rows = state.class_token_rows(candidates)
     table = ({} if cache is None else cache).setdefault(tuple(candidates), {})
-    zs = np.empty((len(test_set), enc.d))
+    zs = enc.encode_image(test_set)
     groups: dict = {}
-    for row, sample in enumerate(test_set):
-        zs[row] = enc.encode_image(sample)
-        sel = route(zs[row], bank, state.top_c)
+    for row, sel in enumerate(route(zs, bank, state.top_c)):
         groups.setdefault(None if sel is None else sel.index_tuple, (sel, []))[1].append(row)
     predicted = np.empty(len(test_set), dtype=np.int64)
     for sel, rows in groups.values():

@@ -67,8 +67,14 @@ def classification_loss(zs, labels, embs, which, tau: float) -> ad.Tensor:
             raise IndexError(f"label index {label} out of range for {k} classes")
     rows, labels, which = np.arange(len(zs)), np.asarray(labels), np.asarray(which)
     inv_tau = 1.0 / tau
-    c, grads = ad.cosines(zs, np.stack([embs[u].values for u in which]))
-    logits = c * inv_tau
+    # Each selection's samples against its own (K, d) embeddings, broadcast.
+    members = [np.flatnonzero(which == u) for u in range(len(embs))]
+    logits = np.empty((len(zs), k))
+    grads = []
+    for emb, mine in zip(embs, members):
+        c, grads_u = ad.cosines(zs[mine], emb.values)
+        logits[mine] = c * inv_tau
+        grads.append(grads_u)
     m = logits.max(axis=1)
     lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
     out = ad.Tensor((lse - logits[rows, labels]).mean())
@@ -76,9 +82,9 @@ def classification_loss(zs, labels, embs, which, tau: float) -> ad.Tensor:
     def grad_fn(g):
         p = np.exp(logits - lse[:, None])  # softmax minus one-hot, per sample
         p[rows, labels] -= 1.0
-        g_embs = grads(((float(g) / len(zs)) * p) * inv_tau, da=False)[1][::-1]
-        return tuple(np.add.accumulate(g_embs[which[::-1] == u], axis=0)[-1]
-                     for u in range(len(embs)))
+        g_c = ((float(g) / len(zs)) * p) * inv_tau
+        return tuple(np.add.accumulate(grads_u(g_c[mine], da=False)[1][::-1], axis=0)[-1]
+                     for grads_u, mine in zip(grads, members))
 
     return ad.record("classification_loss", tuple(embs), out, grad_fn)
 

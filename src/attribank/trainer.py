@@ -171,12 +171,12 @@ def _diagnostic_dump(batch, encoders) -> str:
 def forward(state: LearnerState, batch, config: TrainConfig, selections=None):
     """The learner's forward pass on the tape; returns (L_m, L_k, L_p, selections).
 
-    ``selections`` holds one ``Selection`` per image. Without it each image
-    is routed by the current keys; passing the selections of an earlier call
-    pins them, triplet negatives included, so gradient checks stay on one
-    smooth branch. The tape gets one text-tower node per distinct selection
-    and one node per loss term; a term whose weight is 0 is not built and
-    reads 0.
+    ``selections`` holds one ``Selection`` per image. Without it the batch's
+    image stack is routed by the current keys; passing the selections of an
+    earlier call pins them, triplet negatives included, so gradient checks
+    stay on one smooth branch. The tape gets one text-tower node per
+    distinct selection and one node per loss term; a term whose weight is 0
+    is not built and reads 0.
     """
     if state.bank is None:
         raise ValueError(f"forward: mode {state.mode!r} has no bank to train")
@@ -190,9 +190,9 @@ def forward(state: LearnerState, batch, config: TrainConfig, selections=None):
     for sample in batch:
         if sample.label not in label_index:
             raise ValueError(f"sample label {sample.label} not registered")
-    zs = np.stack([enc.encode_image(sample) for sample in batch])
+    zs = enc.encode_image(batch)
     if selections is None:
-        selections = [route(z, bank, config.c) for z in zs]
+        selections = route(zs, bank, config.c)
 
     # Images that share a selection share its (K, d) class embeddings.
     distinct = {sel.index_tuple: sel for sel in selections}

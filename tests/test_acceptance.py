@@ -15,7 +15,7 @@ import pytest
 from attribank import autodiff as ad
 from attribank import cli
 from attribank import data_io as dio
-from attribank.bank import init_bank, select_top_c
+from attribank.bank import init_bank, scores, select_top_c
 from attribank.encoders import FrozenEncoderPair, TokenSequence
 from attribank.evaluation import AccuracyMatrix, average_accuracy, run_cdcl
 from attribank.objective import (classification_loss, key_matching_loss,
@@ -76,7 +76,7 @@ def test_criterion_2_oracle_equivalence():
     for seed in range(1000):
         bank = init_bank(8, 1, 8, seed=seed)
         z = rng(seed).standard_normal(8)
-        got = select_top_c(z, bank, 3).indices
+        got = select_top_c(scores(z, bank.keys.values), 3).indices
         dists = [1.0 - float(np.dot(z, k) / (np.linalg.norm(z) * np.linalg.norm(k)))
                  for k in bank.keys.values]
         want = sorted(range(8), key=lambda i: (dists[i], i))[:3]
@@ -105,7 +105,7 @@ def test_criterion_2_oracle_equivalence():
         worst = max(worst, abs(lm - lm_oracle) / max(1.0, abs(lm_oracle)))
 
         bank = init_bank(6, 2, 8, seed=seed)
-        sel = select_top_c(z, bank, 3)
+        sel = select_top_c(scores(z, bank.keys.values), 3)
         lk = key_matching_loss([z], [sel], bank, "cosine").item()
         lk_oracle = sum(1.0 - cos(z, bank.keys.values[i]) for i in sel.indices)
         worst = max(worst, abs(lk - lk_oracle) / max(1.0, abs(lk_oracle)))
@@ -190,7 +190,7 @@ def test_criterion_4_frozen_and_sparse_invariants():
     selected = set()
     for s in batch:
         z = state2.encoders.encode_image(s)
-        selected.update(select_top_c(z, state2.bank, cfg2.c).indices)
+        selected.update(select_top_c(scores(z, state2.bank.keys.values), cfg2.c).indices)
     key_before = state2.bank.keys.values.copy()
     prompt_before = state2.bank.prompts.values.copy()
     train_step(state2, batch, cfg2, cfg2.lr0)

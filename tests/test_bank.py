@@ -72,7 +72,7 @@ def test_score_rejects_non_finite():
 def test_select_full_bank_returns_sorted_distances():
     bank = init_bank(6, 2, 8, seed=1)
     z = rng(2).standard_normal(8)
-    sel = select_top_c(z, bank, 6)
+    sel = select_top_c(scores(z, bank.keys.values), 6)
     assert sorted(sel.indices) == list(range(6))
     dists = scores(z, bank.keys.values)[sel.indices]
     assert all(a <= b for a, b in zip(dists, dists[1:]))
@@ -83,7 +83,7 @@ def test_select_constructed_orthogonal_antipodal():
     for i, row in enumerate([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]):
         bank.keys.values[i] = row
     z = np.array([1.0, 0.0])
-    sel = select_top_c(z, bank, 2)
+    sel = select_top_c(scores(z, bank.keys.values), 2)
     assert sel.indices == [0, 1]
     np.testing.assert_allclose(scores(z, bank.keys.values)[sel.indices], [0.0, 1.0], atol=1e-9)
 
@@ -94,14 +94,14 @@ def test_select_matches_full_sort_oracle_1000_trials():
         bank = init_bank(10, 1, 8, seed=seed)
         z = g.standard_normal(8)
         c = 3
-        sel = select_top_c(z, bank, c)
+        sel = select_top_c(scores(z, bank.keys.values), c)
         assert sel.indices == selection_oracle(z, bank.keys.values, c), f"seed {seed}"
 
 
 def test_select_distances_match_score_recomputation():
     bank = init_bank(8, 1, 5, seed=3)
     z = rng(4).standard_normal(5)
-    sel = select_top_c(z, bank, 4)
+    sel = select_top_c(scores(z, bank.keys.values), 4)
     for i, d in zip(sel.indices, scores(z, bank.keys.values)[sel.indices]):
         assert abs(d - score(z, bank.keys.values[i])) <= 1e-12
 
@@ -110,16 +110,16 @@ def test_select_tie_breaks_by_lowest_index():
     bank = init_bank(4, 1, 3, seed=0)
     v = np.array([1.0, 2.0, -0.5])
     bank.keys.values[:] = v  # every key at distance 0
-    sel = select_top_c(v, bank, 2)
+    sel = select_top_c(scores(v, bank.keys.values), 2)
     assert sel.indices == [0, 1]
 
 
 def test_select_c_out_of_range():
     bank = init_bank(3, 1, 4, seed=0)
     with pytest.raises(ValueError):
-        select_top_c(np.ones(4), bank, 0)
+        select_top_c(scores(np.ones(4), bank.keys.values), 0)
     with pytest.raises(ValueError):
-        select_top_c(np.ones(4), bank, 4)
+        select_top_c(scores(np.ones(4), bank.keys.values), 4)
 
 
 @settings(max_examples=50, deadline=None)
@@ -127,14 +127,16 @@ def test_select_c_out_of_range():
 def test_selection_invariant_under_positive_scaling(seed, alpha):
     bank = init_bank(7, 1, 6, seed=seed)
     z = rng(seed).standard_normal(6)
-    assert select_top_c(z, bank, 3).indices == select_top_c(alpha * z, bank, 3).indices
+    keys = bank.keys.values
+    assert (select_top_c(scores(z, keys), 3).indices
+            == select_top_c(scores(alpha * z, keys), 3).indices)
 
 
 def test_selected_distances_dominate_unselected():
     for seed in range(50):
         bank = init_bank(9, 1, 7, seed=seed)
         z = rng(seed).standard_normal(7)
-        sel = select_top_c(z, bank, 4)
+        sel = select_top_c(scores(z, bank.keys.values), 4)
         unselected = [score(z, bank.keys.values[i])
                       for i in range(9) if i not in sel.indices]
         assert max(scores(z, bank.keys.values)[sel.indices]) <= min(unselected) + 1e-15
@@ -155,7 +157,7 @@ def test_select_negative_matches_brute_force_1000_banks():
         c = 1 + seed % (n - 1)
         bank = init_bank(n, 1, 6, seed=seed)
         z = rng(seed).standard_normal(6)
-        sel = select_top_c(z, bank, c)
+        sel = select_top_c(scores(z, bank.keys.values), c)
         unselected = [i for i in range(n) if i not in sel.indices]
         assert sel.negative == min(score(z, bank.keys.values[i]) for i in unselected), seed
         oracle = min(1.0 - np_cosine(z, bank.keys.values[i]) for i in unselected)
@@ -167,24 +169,66 @@ def test_select_negative_under_constructed_ties():
     v = np.array([1.0, 2.0, -0.5])
     bank.keys.values[:4] = v  # keys 0-3 at distance 0, key 4 farther
     bank.keys.values[4] = -v
-    sel = select_top_c(v, bank, 2)
+    sel = select_top_c(scores(v, bank.keys.values), 2)
     assert sel.indices == [0, 1]
     assert sel.negative == scores(v, bank.keys.values)[2]
     assert abs(sel.negative) < 1e-9
-    sel = select_top_c(v, bank, 4)
+    sel = select_top_c(scores(v, bank.keys.values), 4)
     assert sel.indices == [0, 1, 2, 3]
     assert abs(sel.negative - 2.0) < 1e-9
 
 
 def test_select_negative_is_none_when_every_key_is_selected():
     bank = init_bank(4, 1, 3, seed=1)
-    assert select_top_c(np.ones(3), bank, 4).negative is None
-    assert route(np.ones(3), init_bank(1, 1, 3, seed=1), 1).negative is None
+    assert select_top_c(scores(np.ones(3), bank.keys.values), 4).negative is None
+    assert route(np.ones((1, 3)), init_bank(1, 1, 3, seed=1), 1)[0].negative is None
+
+
+def test_route_on_a_stack_equals_per_image_routing_bit_for_bit():
+    # One scores call covers the (B, d) stack, then one pick per row: every
+    # row's indices and negative are those of routing its image alone.
+    for seed in range(60):
+        g = rng(seed)
+        n = 2 + seed % 9
+        bank = init_bank(n, 1, 6, seed=seed)
+        keys = bank.keys.values
+        zs = g.standard_normal((1 + seed % 33, 6))
+        np.testing.assert_array_equal(scores(zs, keys), np.stack([scores(z, keys) for z in zs]))
+        for c in sorted({1, max(1, n // 2), n - 1, n}):
+            want = [select_top_c(scores(z, keys), c) for z in zs]
+            got = route(zs, bank, c)
+            assert [(s.indices, s.negative) for s in got] == \
+                [(s.indices, s.negative) for s in want], (seed, c)
+            assert c < n or all(s.negative is None for s in got)
+
+
+def test_route_on_a_stack_under_constructed_ties():
+    bank = init_bank(5, 1, 3, seed=0)
+    v = np.array([1.0, 2.0, -0.5])
+    bank.keys.values[:4] = v  # keys 0-3 tie with every image along v
+    bank.keys.values[4] = -v
+    zs = np.stack([v, 3.0 * v, -v, v + 1e-3])
+    for c in (1, 2, 4, 5):
+        got = route(zs, bank, c)
+        want = [select_top_c(scores(z, bank.keys.values), c) for z in zs]
+        assert [(s.indices, s.negative) for s in got] == [(s.indices, s.negative) for s in want]
+    got = route(zs, bank, 2)
+    assert [s.indices for s in got] == [[0, 1], [0, 1], [4, 0], [0, 1]]
+    assert got[2].negative == scores(-v, bank.keys.values)[1]
+
+
+def test_route_without_scoring_on_a_one_entry_bank_or_no_bank():
+    zs = rng(3).standard_normal((4, 3))
+    zs[1] = np.nan  # nothing is scored, so nothing checks it
+    got = route(zs, init_bank(1, 1, 3, seed=1), 1)
+    assert [(s.indices, s.negative) for s in got] == [([0], None)] * 4
+    assert len({id(s) for s in got}) == 4
+    assert route(zs, None, 2) == [None] * 4
 
 
 def test_compose_minimal_lengths():
     bank = init_bank(2, 1, 4, seed=5)
-    sel = select_top_c(np.ones(4), bank, 1)
+    sel = select_top_c(scores(np.ones(4), bank.keys.values), 1)
     seq = compose_text_input(sel, bank.frozen_view())
     assert seq.tokens.shape == (1, 4)
     np.testing.assert_array_equal(seq.tokens.values[0], bank.prompts.values[sel.indices[0], 0])
@@ -192,7 +236,7 @@ def test_compose_minimal_lengths():
 
 def test_compose_reference_arity():
     bank = init_bank(10, 12, 16, seed=6)
-    sel = select_top_c(rng(7).standard_normal(16), bank, 3)
+    sel = select_top_c(scores(rng(7).standard_normal(16), bank.keys.values), 3)
     seq = compose_text_input(sel, bank.frozen_view())
     assert seq.tokens.shape == (3 * 12, 16)
 
@@ -200,7 +244,7 @@ def test_compose_reference_arity():
 def test_compose_matches_list_append_oracle():
     for seed in range(20):
         bank = init_bank(5, 3, 6, seed=seed)
-        sel = select_top_c(rng(seed).standard_normal(6), bank, 2)
+        sel = select_top_c(scores(rng(seed).standard_normal(6), bank.keys.values), 2)
         seq = compose_text_input(sel, bank.frozen_view())
         rows = []
         for i in sel.indices:
@@ -211,7 +255,7 @@ def test_compose_matches_list_append_oracle():
 def test_compose_ignores_unselected_prompt_mutation():
     bank = init_bank(4, 2, 5, seed=8)
     z = rng(9).standard_normal(5)
-    sel = select_top_c(z, bank, 2)
+    sel = select_top_c(scores(z, bank.keys.values), 2)
     before = compose_text_input(sel, bank.frozen_view()).tokens.values.copy()
     untouched = [i for i in range(4) if i not in sel.indices]
     bank.prompts.values[untouched[0]] += 99.0
@@ -222,7 +266,7 @@ def test_compose_ignores_unselected_prompt_mutation():
 def test_compose_routes_gradient_to_selected_prompts_only():
     bank = init_bank(4, 2, 5, seed=10)
     z = rng(11).standard_normal(5)
-    sel = select_top_c(z, bank, 2)
+    sel = select_top_c(scores(z, bank.keys.values), 2)
     seq = compose_text_input(sel, bank)
     assert seq.tokens is bank.prompts and seq.rows == sel.indices
     enc = FrozenEncoderPair(d=5, image_width=5, seed=11, max_tokens=8)
@@ -237,7 +281,7 @@ def test_compose_routes_gradient_to_selected_prompts_only():
 
 def test_compose_dimension_mismatch():
     bank = init_bank(3, 2, 5, seed=12)
-    sel = select_top_c(np.ones(5), bank, 1)
+    sel = select_top_c(scores(np.ones(5), bank.keys.values), 1)
     enc = FrozenEncoderPair(d=5, image_width=5, seed=12, max_tokens=8)
     with pytest.raises(ad.ShapeError):
         class_text_embeddings(enc, bank, sel, ad.constant(rng(0).standard_normal((2, 6))), {})

@@ -50,6 +50,35 @@ def test_encode_image_lookup_returns_verbatim():
     np.testing.assert_array_equal(enc.encode_image(z), z)
 
 
+@pytest.mark.parametrize("backend", ["toy", "lookup"])
+def test_encode_image_on_a_stack_equals_per_image_calls_bit_for_bit(backend):
+    # The toy map multiplies each row on its own, so a stack's row b is the
+    # one-image gemv of image b (a gemm over the stack would not be).
+    for seed in range(40):
+        g = rng(seed)
+        width = 1 + seed % 37
+        d = width if backend == "lookup" else 1 + (7 * seed) % 45
+        enc = make_pair(seed, d=d, width=width, backend=backend)
+        xs = g.standard_normal((1 + seed % 19, width))
+        samples = [ImageSample(vector=x, label=0, task_id=0) for x in xs]
+        one = np.stack([enc.encode_image(s) for s in samples])
+        if backend == "toy":
+            np.testing.assert_array_equal(one, np.stack([enc.weights.theta["w_image"] @ x
+                                                         for x in xs]))
+        else:
+            np.testing.assert_array_equal(one, xs)
+        for stack in (xs, samples, tuple(samples), list(xs)):
+            np.testing.assert_array_equal(enc.encode_image(stack), one)
+
+
+def test_encode_image_names_a_bad_image_in_a_stack():
+    enc = make_pair(0)
+    with pytest.raises(ad.ShapeError, match=r"expected width 6, got shape \(5,\) for image 1"):
+        enc.encode_image([np.zeros(6), np.zeros(5), np.zeros(6)])
+    with pytest.raises(ad.ShapeError, match=r"expected width 6, got shape \(3, 5\)"):
+        enc.encode_image(np.zeros((3, 5)))
+
+
 def test_encode_image_width_mismatch():
     enc = make_pair(0)
     with pytest.raises(ad.ShapeError, match="width"):

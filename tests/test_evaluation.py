@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from attribank import autodiff as ad
 from attribank import data_io as dio
-from attribank.bank import compose_text_input, select_top_c
+from attribank.bank import compose_text_input, route, scores, select_top_c
 from attribank.encoders import ImageSample, TokenSequence
 from attribank.evaluation import AccuracyMatrix, CdclReport, average_accuracy, evaluate, run_cdcl
 from attribank.trainer import TrainConfig, init_state, run_sequence
@@ -156,7 +156,7 @@ def test_evaluate_matches_brute_force_scorer():
     correct = 0
     for s in samples:
         z = state.encoders.encode_image(s)
-        sel = select_top_c(z, state.bank, cfg.c)
+        sel = select_top_c(scores(z, state.bank.keys.values), cfg.c)
         best_cid, best_score = None, -np.inf
         prefix = compose_text_input(sel, state.bank.frozen_view()).tokens.values
         for cid in candidates:
@@ -174,8 +174,8 @@ def test_evaluate_encodes_each_selection_once_whatever_the_class_count():
     stream = tiny_stream(tasks=10)
     state = prepared_state(stream, tiny_config())
     samples = stream.all_test_samples()
-    unique = {select_top_c(state.encoders.encode_image(s), state.bank, 2).index_tuple
-              for s in samples}
+    unique = {sel.index_tuple
+              for sel in route(state.encoders.encode_image(samples), state.bank, 2)}
     assert len(unique) > 1
     calls = []
     encode = state.encoders.encode_text
@@ -227,6 +227,24 @@ def test_evaluate_round_with_shared_cache_matches_separate_calls():
     narrow = {}
     evaluate(state, first.test, first.class_ids, cache=narrow)
     assert evaluate(state, last.test, cands, cache=narrow) == separate[-1]
+
+
+def _with_bad_image(samples, row, vector):
+    samples = list(samples)
+    samples[row] = ImageSample(vector=vector, label=samples[row].label, task_id=0)
+    return samples
+
+
+@pytest.mark.parametrize("vector, error, message", [
+    (np.zeros(7), ad.ShapeError, "expected width 8, got shape"),
+    (np.full(8, np.nan), ad.NumericError, "non-finite"),
+], ids=["wrong_width", "non_finite"])
+def test_evaluate_rejects_a_bad_image(vector, error, message):
+    stream = tiny_stream()
+    state = prepared_state(stream, tiny_config())
+    samples = _with_bad_image(stream.all_test_samples(), 3, vector)
+    with pytest.raises(error, match=message):
+        evaluate(state, samples, state.seen_classes())
 
 
 def test_evaluate_unknown_class_rejected():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from attribank import autodiff as ad
-from attribank.bank import init_bank, select_top_c
+from attribank.bank import init_bank, scores, select_top_c
 from attribank.encoders import FrozenEncoderPair, TokenSequence
 from attribank.objective import (DISTANCES, classification_loss, key_matching_loss,
                                  prompt_orthogonality_loss, total_loss, breakdown)
@@ -146,7 +146,7 @@ def test_key_matching_collinear_keys_give_zero():
     z = rng(11).standard_normal(D)
     for i in range(4):
         bank.keys.values[i] = (i + 1.0) * z
-    sel = select_top_c(z, bank, 3)
+    sel = select_top_c(scores(z, bank.keys.values), 3)
     loss = key_matching_loss([z], [sel], bank, "cosine")
     assert abs(loss.item()) < 1e-9
 
@@ -154,7 +154,7 @@ def test_key_matching_collinear_keys_give_zero():
 def test_key_matching_orthogonal_key_contributes_one():
     bank = init_bank(2, 1, 2, seed=12)
     bank.keys.values[:] = [[0.0, 1.0], [-1.0, 0.0]]
-    sel = select_top_c(np.array([1.0, 0.0]), bank, 1)
+    sel = select_top_c(scores(np.array([1.0, 0.0]), bank.keys.values), 1)
     assert sel.indices == [0]
     loss = key_matching_loss([np.array([1.0, 0.0])], [sel], bank, "cosine")
     assert abs(loss.item() - 1.0) < 1e-9
@@ -182,7 +182,7 @@ def test_key_matching_matches_per_term_oracle(variant):
     for seed in range(100):
         bank = init_bank(6, 1, D, seed=seed)
         z = rng(seed).standard_normal(D)
-        sel = select_top_c(z, bank, 3)
+        sel = select_top_c(scores(z, bank.keys.values), 3)
         got = key_matching_loss([z], [sel], bank, variant).item()
         want = key_loss_oracle(z, sel, bank.keys.values, variant)
         assert abs(got - want) <= 1e-10, f"{variant} seed {seed}"
@@ -191,7 +191,7 @@ def test_key_matching_matches_per_term_oracle(variant):
 def test_key_matching_gradients_reach_selected_keys_only():
     bank = init_bank(5, 1, D, seed=13)
     z = rng(14).standard_normal(D)
-    sel = select_top_c(z, bank, 2)
+    sel = select_top_c(scores(z, bank.keys.values), 2)
     ad.backward(key_matching_loss([z], [sel], bank, "cosine"))
     for i in range(5):
         if i in sel.indices:
@@ -203,7 +203,7 @@ def test_key_matching_gradients_reach_selected_keys_only():
 def test_key_matching_triplet_negative_is_detached():
     bank = init_bank(4, 1, D, seed=15)
     z = rng(16).standard_normal(D)
-    sel = select_top_c(z, bank, 2)
+    sel = select_top_c(scores(z, bank.keys.values), 2)
     loss = key_matching_loss([z], [sel], bank, "triplet")
     # The hinge is active at the fixed margin, so the selected keys do get gradient.
     assert loss.item() > 0
@@ -215,7 +215,7 @@ def test_key_matching_triplet_negative_is_detached():
 def test_key_matching_triplet_rejects_full_selection():
     bank = init_bank(3, 1, D, seed=17)
     z = rng(18).standard_normal(D)
-    sel = select_top_c(z, bank, 3)
+    sel = select_top_c(scores(z, bank.keys.values), 3)
     with pytest.raises(ValueError, match="negative"):
         key_matching_loss([z], [sel], bank, "triplet")
 
@@ -316,7 +316,7 @@ def routed_batch(b):
     g = rng(200 + b)
     centres = g.standard_normal((3, D))
     zs = centres[np.arange(b) % 3] + 0.05 * g.standard_normal((b, D))
-    selections = [select_top_c(z, bank, 3) for z in zs]
+    selections = [select_top_c(scores(z, bank.keys.values), 3) for z in zs]
     assert b == 1 or len({sel.index_tuple for sel in selections}) < b
     return bank, zs, selections
 

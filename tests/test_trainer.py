@@ -10,7 +10,7 @@ from attribank import autodiff as ad
 from attribank import data_io as dio
 from attribank.bank import Selection, class_text_embeddings, init_bank, route, scores, select_top_c
 from attribank.encoders import FrozenEncoderPair, ImageSample, TokenSequence
-from attribank.objective import DISTANCES, prompt_orthogonality_loss
+from attribank.objective import DISTANCES, prompt_orthogonality_loss, total_loss
 from attribank.trainer import (SequenceError, TrainConfig, forward, init_state, lr_at,
                                run_sequence, train_step, train_task)
 
@@ -91,7 +91,7 @@ def test_train_step_sparse_prompt_updates():
     selected = set()
     for s in batch:
         z = state.encoders.encode_image(s)
-        selected.update(select_top_c(z, state.bank, cfg.c).indices)
+        selected.update(select_top_c(scores(z, state.bank.keys.values), cfg.c).indices)
     before = state.bank.prompts.values.copy()
     train_step(state, batch, cfg, cfg.lr0)
     for i, (p, b) in enumerate(zip(state.bank.prompts.values, before)):
@@ -109,7 +109,7 @@ def test_train_step_moves_exactly_the_selected_rows():
     selected = set()
     for s in batch:
         z = state.encoders.encode_image(s)
-        selected.update(select_top_c(z, state.bank, cfg.c).indices)
+        selected.update(select_top_c(scores(z, state.bank.keys.values), cfg.c).indices)
     assert len(selected) < cfg.n
     keys, prompts = state.bank.keys.values.copy(), state.bank.prompts.values.copy()
     train_step(state, batch, cfg, cfg.lr0)
@@ -128,7 +128,7 @@ def test_train_step_matches_fd_sgd_oracle():
     batch = [stream.tasks[0].train[0]]
 
     z = state.encoders.encode_image(batch[0])
-    frozen_sel = select_top_c(z, state.bank, c)
+    frozen_sel = select_top_c(scores(z, state.bank.keys.values), c)
     params = state.bank.trainable_parameters()
     starts = [p.values.copy() for p in params]
 
@@ -209,7 +209,7 @@ def test_forward_puts_one_tower_node_per_selection_whatever_the_class_count():
         for cid in seen:
             state.register_class(cid, stream.class_tokens[cid])
         if selections is None:
-            selections = [route(state.encoders.encode_image(s), state.bank, cfg.c) for s in batch]
+            selections = route(state.encoders.encode_image(batch), state.bank, cfg.c)
         ad.reset_tape()
         forward(state, batch, cfg, selections)
         ops = [node.op for node in ad.active_tape()]
@@ -253,12 +253,55 @@ def test_a_step_records_a_fixed_handful_of_nodes(mode, monkeypatch):
             for cid in seen:
                 state.register_class(cid, stream.class_tokens[cid])
             batch = pool[:b]
-            distinct = {route(state.encoders.encode_image(s), state.bank, cfg.c).index_tuple
-                        for s in batch}
+            distinct = {sel.index_tuple
+                        for sel in route(state.encoders.encode_image(batch), state.bank, cfg.c)}
             assert b == 1 or mode == "shared_prompt" or len(distinct) > 1
             train_step(state, batch, cfg, cfg.lr0)
             want = len(distinct) + 8 if mode == "attriclip" else 4
             assert counts[-1] == want, (k, b)
+
+
+def test_backward_twice_on_one_step_gives_identical_gradients():
+    # The text tower scales, exponentiates and differentiates its scores in
+    # buffers of its own. A step that wrote into an array its node saved for
+    # backward would change what a second backward reads.
+    stream = tiny_stream(tasks=2, classes=2, samples=8)
+    cfg = tiny_config(n=6, c=2, lambda_k=0.7, lambda_p=0.3)
+    state = prepared_state(stream, cfg)
+    batch = stream.tasks[0].train + stream.tasks[1].train
+    l_m, l_k, l_p, selections = forward(state, batch, cfg)
+    assert len({sel.index_tuple for sel in selections}) > 1
+    total = total_loss(l_m, l_k, l_p, cfg.lambda_k, cfg.lambda_p)
+    grads = []
+    for _ in range(2):
+        ad.backward(total)
+        grads.append([p.grad.copy() for p in state.bank.trainable_parameters()])
+    for first, second in zip(*grads):
+        assert first.any()
+        np.testing.assert_array_equal(first, second)
+
+
+def _with_bad_image(batch, row, vector):
+    batch = list(batch)
+    batch[row] = ImageSample(vector=vector, label=batch[row].label, task_id=0)
+    return batch
+
+
+@pytest.mark.parametrize("vector, error, message", [
+    (np.zeros(7), ad.ShapeError, "expected width 8, got shape"),
+    (np.full(8, np.nan), ad.NumericError, "non-finite"),
+], ids=["wrong_width", "non_finite"])
+def test_train_step_rejects_a_bad_image_before_any_update(vector, error, message):
+    stream = tiny_stream()
+    cfg = tiny_config()
+    state = prepared_state(stream, cfg)
+    before = [p.values.copy() for p in state.bank.trainable_parameters()]
+    batch = _with_bad_image(stream.tasks[0].train[:4], 2, vector)
+    with pytest.raises(error, match=message):
+        train_step(state, batch, cfg, cfg.lr0)
+    for p, start in zip(state.bank.trainable_parameters(), before):
+        np.testing.assert_array_equal(p.values, start)
+    assert state.step_counter == 0
 
 
 # First 16 hex digits of sha256(keys + prompts + accuracy matrix bytes) after
