@@ -6,14 +6,13 @@ gradients into the ``grad`` buffers of every tensor that requires them.
 Everything is double precision: the package's acceptance rests on tight
 gradient checks, not throughput.
 
-Supported primitives: add and scale. No broadcasting beyond scalar-tensor;
-shapes are checked explicitly. ``cosines`` is the one batched cosine
-kernel, values and gradient, that key selection and the loss terms build
-on. A fused block, such as the frozen text tower or a whole loss term over
-the batch, is one node built with ``record``; ``tests/reference.py`` holds
-the finer primitives (matmul, mul, transpose, cosine_sim, cosine_logits,
-softmax_logits, concat, take, neg_log_prob, abs, sum, mean) that the fused
-nodes are pinned to.
+The module holds no arithmetic primitive. ``cosines`` is the one batched
+cosine kernel, values and gradient, that key selection and the loss terms
+build on. Every node is a fused block built with ``record``: the frozen
+text tower, each loss term over the batch and their weighted total;
+``tests/reference.py`` holds the finer primitives (add, scale, matmul,
+mul, transpose, cosine_sim, cosine_logits, softmax_logits, concat, take,
+neg_log_prob, abs, sum, mean) that the fused nodes are pinned to.
 
 The tape is module-global and single-threaded: one forward pass owns it
 until the next ``reset_tape``. Tensors with requires_grad=False never
@@ -59,9 +58,6 @@ class Tensor:
     def size(self) -> int:
         return self.values.size
 
-    def item(self) -> float:
-        return float(self.values)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -102,9 +98,8 @@ def reset_tape() -> None:
 def record(op: str, inputs: tuple, output: Tensor, grad_fn) -> Tensor:
     """Put ``output`` on the tape when any input requires gradient.
 
-    ``grad_fn(g)`` returns one gradient (or None) per input. Every primitive
-    ends here, and so does every fused block: the frozen text tower and each
-    loss term.
+    ``grad_fn(g)`` returns one gradient (or None) per input. Every node
+    ends here: the frozen text tower, each loss term and their total.
     """
     for t in inputs:
         if t.requires_grad:
@@ -112,44 +107,6 @@ def record(op: str, inputs: tuple, output: Tensor, grad_fn) -> Tensor:
             _tape.append(TapeNode(op, inputs, output, grad_fn))
             break
     return output
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
-
-
-# ---------------------------------------------------------------------------
-# primitives
-
-
-def add(a: Tensor, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape and a.shape != () and b.shape != ():  # one side may be a scalar
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.values + b.values)
-    a_shape, b_shape = a.shape, b.shape
-
-    def grad_fn(g):
-        ga = g if a_shape == out.shape else np.asarray(g.sum())
-        gb = g if b_shape == out.shape else np.asarray(g.sum())
-        return ga, gb
-
-    return record("add", (a, b), out, grad_fn)
-
-
-def scale(a: Tensor, alpha: float) -> Tensor:
-    a = _as_tensor(a)
-    alpha = float(alpha)
-    if not np.isfinite(alpha):
-        raise NumericError(f"scale: non-finite factor {alpha}")
-    out = Tensor(a.values * alpha)
-
-    def grad_fn(g):
-        return (g * alpha,)
-
-    return record("scale", (a,), out, grad_fn)
 
 
 def cosines(a: np.ndarray, b: np.ndarray):

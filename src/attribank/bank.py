@@ -144,23 +144,35 @@ def compose_text_input(sel: Selection, bank: AttributeBank) -> TokenSequence:
     return TokenSequence(ad.constant(prompts.values[sel.indices].reshape(-1, prompts.shape[2])))
 
 
-def class_text_embeddings(encoders, bank: AttributeBank | None, sel: Selection | None,
-                          class_rows: ad.Tensor, cache: dict) -> ad.Tensor:
-    """Text embeddings of every candidate class under one selection, as one (K, d) tensor.
+def class_text_embeddings(encoders, bank: AttributeBank | None, selections, class_rows: ad.Tensor,
+                          cache: dict | None = None):
+    """Text embeddings of every candidate class under each image's selection.
 
-    ``class_rows`` holds the K candidates' class tokens, one per row, and
-    ``cache`` keeps one entry per selection. A cache miss is one
-    ``encode_text`` call whose sequences are the selection's composed
-    prompts followed by each class token. With no selection the prefix is
-    empty and the class tokens are encoded alone. On a parameter bank that
-    call is one tape node, each class's sequence unshared, so values and the
-    order prompt gradients are summed in stay those of K separate sequences,
-    bit for bit; on ``frozen_view()`` it is the prefix-shared tower's values.
+    Returns ``(embs, which)``: one (K, d) tensor per distinct selection in
+    ``selections``, in order of first appearance, and the (B,) index of
+    each image's own tensor in ``embs``. ``class_rows`` holds the K
+    candidates' class tokens, one per row, and ``cache`` keeps one entry
+    per selection. Each distinct selection is looked up in ``cache`` and on
+    a miss encoded once: one ``encode_text`` call whose sequences are the
+    selection's composed prompts followed by each class token. With no
+    selection the prefix is empty and the class tokens are encoded alone.
+    On a parameter bank that call is one tape node, each class's sequence
+    unshared, so values and the order prompt gradients are summed in stay
+    those of K separate sequences, bit for bit; on ``frozen_view()`` it is
+    the prefix-shared tower's values.
     """
-    key = None if sel is None else sel.index_tuple
-    embs = cache.get(key)
-    if embs is None:
-        prefix = (TokenSequence(ad.constant(np.zeros((0, class_rows.shape[1])))) if sel is None
-                  else compose_text_input(sel, bank))
-        embs = cache[key] = encoders.encode_text(prefix, class_rows)
-    return embs
+    cache = {} if cache is None else cache
+    slot: dict = {}
+    embs, which = [], np.empty(len(selections), dtype=np.int64)
+    for i, sel in enumerate(selections):
+        key = None if sel is None else sel.index_tuple
+        u = slot.get(key)
+        if u is None:
+            u = slot[key] = len(embs)
+            if key not in cache:
+                prefix = (TokenSequence(ad.constant(np.zeros((0, class_rows.shape[1]))))
+                          if sel is None else compose_text_input(sel, bank))
+                cache[key] = encoders.encode_text(prefix, class_rows)
+            embs.append(cache[key])
+        which[i] = u
+    return embs, which

@@ -300,30 +300,24 @@ def cmd_cdcl(args) -> int:
 # gradient verification
 
 
-def _pinned_objective(state, samples, cfg, corrupt: float):
+def _pinned_objective(state, samples, cfg):
     """The training objective of ``state`` with the selections pinned at its current point."""
     selections = forward(state, samples, cfg)[3]
-    params = state.trainable_parameters()
 
     def loss(_):
         l_m, l_k, l_p, _ = forward(state, samples, cfg, selections)
-        total = total_loss(l_m, l_k, l_p, cfg.lambda_k, cfg.lambda_p)
-        if corrupt:  # a constant to the tape, so no analytic gradient sees its slope
-            total = ad.add(total, corrupt * sum(float(p.values.sum()) for p in params))
-        return total
+        return total_loss(l_m, l_k, l_p, cfg.lambda_k, cfg.lambda_p)
 
     return loss
 
 
-def gradient_check_report(seed: int, distance: str = "cosine", corrupt: float = 0.0) -> dict:
+def gradient_check_report(seed: int, distance: str = "cosine") -> dict:
     """Max relative gradient error per parameter group, on one small fixed problem.
 
     Every group is checked through ``trainer.forward`` with the selections
     pinned at the base point: the hard top-C choice and the triplet negative
     it carries stay fixed, so central differences measure the same locally
     smooth branch the analytic (stop-gradient) gradients live on.
-    ``corrupt`` adds that much times the sum of all parameters to the loss,
-    out of the tape's sight, so every check must fail.
     """
     stream = dio.generate_synthetic(dio.SyntheticSpec(
         num_latent_attributes=4, attributes_per_class=2, num_tasks=1, classes_per_task=3,
@@ -334,16 +328,15 @@ def gradient_check_report(seed: int, distance: str = "cosine", corrupt: float = 
     for state in (attr, shared):
         for cid in stream.tasks[0].class_ids:
             state.register_class(cid, stream.class_tokens[cid])
-    loss = _pinned_objective(attr, samples, base, corrupt)
-    shared_loss = _pinned_objective(shared, samples, preset("shared_prompt", base), corrupt)
+    loss = _pinned_objective(attr, samples, base)
+    shared_loss = _pinned_objective(shared, samples, preset("shared_prompt", base))
     return {"keys": ad.finite_difference_check(loss, attr.bank.keys),
             "prompts": ad.finite_difference_check(loss, attr.bank.prompts),
             "shared_prompt": ad.finite_difference_check(shared_loss, shared.bank.prompts)}
 
 
 def cmd_gradcheck(args) -> int:
-    report = gradient_check_report(args.seed, args.distance,
-                                   corrupt=0.01 if args.corrupt else 0.0)
+    report = gradient_check_report(args.seed, args.distance)
     tol = 1e-4
     ok = True
     for group, err in report.items():
@@ -473,7 +466,6 @@ def build_parser() -> _Parser:
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p_grad.add_argument("--seed", type=_seed, default=0)
     p_grad.add_argument("--distance", choices=DISTANCES, default="cosine")
-    p_grad.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p_grad.set_defaults(fn=cmd_gradcheck)
 
     p_sweep = sub.add_parser("sweep", help="one run per value along a hyperparameter axis")

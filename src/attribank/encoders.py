@@ -52,11 +52,11 @@ class ImageSample:
 class TokenSequence:
     """Ordered tokens, possibly on the tape.
 
-    ``tokens`` is an (s, d) matrix, one sequence (an empty (0, d) matrix is
-    the prefix of a learner without a bank), or an (n, m, d) stack of n
-    sequences. With ``rows`` the one sequence is the stack entries ``rows``
-    in that order, such as a selection's prompts in ``bank.prompts``; the
-    text tower reads them itself.
+    ``tokens`` is an (L, d) matrix, one constant prefix (an empty (0, d)
+    matrix is the prefix of a learner without a bank), or an (n, m, d) stack
+    of n sequences. With ``rows`` the one prefix is the stack entries
+    ``rows`` in that order, such as a selection's prompts in
+    ``bank.prompts``; the text tower reads them itself.
     """
 
     tokens: ad.Tensor
@@ -161,9 +161,8 @@ class FrozenEncoderPair:
         sequences through the unshared tower, stacked, as one node
         (``_encode_unshared``):
 
-        * an (s, d) matrix with no ``tails`` is one sequence whose last row is
-          its tail, and gives (1, d); an (n, m, d) stack gives one row per
-          entry (the standalone prompts);
+        * with no ``tails``, a whole (n, m, d) stack gives one row per entry
+          (the standalone prompts);
         * ``seq.rows`` with ``tails`` (training) gives one row per tail, each
           sequence the stack entries ``rows`` followed by its tail.
 
@@ -189,6 +188,9 @@ class FrozenEncoderPair:
             raise ad.ShapeError(f"encode_text: token dim {x.shape[-1]} != encoder dim {self.d}")
         if tails is not None and (tails.values.ndim != 2 or tails.shape[1] != self.d):
             raise ad.ShapeError(f"encode_text: tails must be (K, {self.d}), got {tails.shape}")
+        if tails is None and (x.values.ndim != 3 or seq.rows is not None):
+            raise ad.ShapeError(f"encode_text: without tails, seq must be a whole (n, m, d) "
+                                f"stack, got {x.shape} with rows {seq.rows}")
         n = x.shape[-2] if seq.rows is None else len(seq.rows) * x.shape[1]
         length = n + (tails is not None)
         if length < 1:
@@ -249,10 +251,7 @@ class FrozenEncoderPair:
         order in which K per-sequence reads of those rows would add it.
         """
         x, rows = seq.tokens, seq.rows
-        if rows is not None:
-            prefix = x.values[rows].reshape(1, -1, self.d)
-        else:  # then there are no tails
-            prefix = x.values.reshape(-1, *x.shape[-2:])
+        prefix = x.values if rows is None else x.values[rows].reshape(1, -1, self.d)
         n = prefix.shape[1]
         psi, alpha = self.weights.psi, self._inv_sqrt_d
         mix, proj, pos = psi["w_mix"], psi["w_proj"], psi["pos"]
@@ -282,13 +281,13 @@ class FrozenEncoderPair:
             g_xs += (xm.mT @ g_scores).mT
             g_xs += (g_scores @ xp_t.mT) @ mix.T
             if rows is None:
-                return (g_xs.reshape(x.shape),)
+                return (g_xs,)
             if x.requires_grad:
                 acc = x.grad[rows].reshape(n, self.d)
                 for g_k in g_xs[::-1, :n]:
                     acc += g_k
                 x.grad[rows] = acc.reshape(len(rows), -1, self.d)
-            return None, None if tails is None else g_xs[:, n]
+            return None, g_xs[:, n]
 
         out = ad.Tensor((proj @ pooled[..., None])[..., 0])
         return ad.record("encode_text", (x,) if tails is None else (x, tails), out, grad_fn)

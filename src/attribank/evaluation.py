@@ -116,15 +116,14 @@ def evaluate(state, test_set, candidate_classes, cache: dict | None = None) -> f
     class_rows = state.class_token_rows(candidates)
     table = ({} if cache is None else cache).setdefault(tuple(candidates), {})
     zs = enc.encode_image(test_set)
-    groups: dict = {}
-    for row, sel in enumerate(route(zs, bank, state.top_c)):
-        groups.setdefault(None if sel is None else sel.index_tuple, (sel, []))[1].append(row)
+    embs, which = class_text_embeddings(enc, bank, route(zs, bank, state.top_c), class_rows, table)
+    # Each group's rows in increasing order: a stable sort of the group index.
+    groups = np.split(np.argsort(which, kind="stable"), np.cumsum(np.bincount(which))[:-1])
     predicted = np.empty(len(test_set), dtype=np.int64)
-    for sel, rows in groups.values():
-        embs = class_text_embeddings(enc, bank, sel, class_rows, table).values
+    for emb, rows in zip(embs, groups):
         for start in range(0, len(rows), _EVAL_ROWS):
             part = rows[start:start + _EVAL_ROWS]
-            predicted[part] = _cosine_matrix(zs[part], embs).argmax(axis=1)
+            predicted[part] = _cosine_matrix(zs[part], emb.values).argmax(axis=1)
     labels = np.array([sample.label for sample in test_set])
     return 100.0 * int((np.asarray(candidates)[predicted] == labels).sum()) / len(test_set)
 

@@ -15,9 +15,9 @@ Three components combine into the training objective:
   total              L = L_m + lambda_k * L_k + lambda_p * L_p
 
 Each term is one tape node over the whole batch (L_p's pairs one node after
-the standalone encode), built on ``autodiff.cosines``. Values and gradients
-are those of the per-sample chains in ``tests/reference.py``, bit for bit:
-each node sums its gradients in the order backward visited those chains.
+the standalone encode), built on ``autodiff.cosines``, and so is the total.
+Values and gradients are those of the chains in ``tests/reference.py``, bit
+for bit: each node sums its gradients in the order backward visited them.
 Gradient routing is structural: keys appear on the tape only inside L_k,
 prompts only inside L_m (via the composed text) and L_p.
 """
@@ -155,9 +155,13 @@ def prompt_orthogonality_loss(bank: AttributeBank, text_encoder) -> ad.Tensor:
 
 def total_loss(l_m: ad.Tensor, l_k: ad.Tensor, l_p: ad.Tensor,
                lambda_k: float, lambda_p: float) -> ad.Tensor:
+    """L_m + lambda_k * L_k + lambda_p * L_p as one node; values and gradients are
+    those of the add/scale chain in ``tests/reference.py``, bit for bit."""
     if lambda_k < 0 or lambda_p < 0:
         raise ValueError("loss weights must be non-negative")
-    return ad.add(ad.add(l_m, ad.scale(l_k, lambda_k)), ad.scale(l_p, lambda_p))
+    out = ad.Tensor(l_m.values + l_k.values * lambda_k + l_p.values * lambda_p)
+    return ad.record("total_loss", (l_m, l_k, l_p), out,
+                     lambda g: (g, g * lambda_k, g * lambda_p))
 
 
 def breakdown(l_m: ad.Tensor, l_k: ad.Tensor, l_p: ad.Tensor,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .bank import KEY_NORM_FLOOR, AttributeBank, compose_text_input, init_bank, route
+from .bank import KEY_NORM_FLOOR, AttributeBank, class_text_embeddings, init_bank, route
 from .encoders import FrozenEncoderPair
 from .objective import (DISTANCES, LossBreakdown, breakdown, classification_loss,
                         key_matching_loss, prompt_orthogonality_loss, total_loss)
@@ -195,13 +195,10 @@ def forward(state: LearnerState, batch, config: TrainConfig, selections=None):
         selections = route(zs, bank, config.c)
 
     # Images that share a selection share its (K, d) class embeddings.
-    distinct = {sel.index_tuple: sel for sel in selections}
-    slot = {key: u for u, key in enumerate(distinct)}
-    class_rows = state.class_token_rows(candidates)
-    embs = [enc.encode_text(compose_text_input(sel, bank), class_rows)
-            for sel in distinct.values()]
+    embs, which = class_text_embeddings(enc, bank, selections,
+                                        state.class_token_rows(candidates))
     l_m = classification_loss(zs, [label_index[sample.label] for sample in batch], embs,
-                              [slot[sel.index_tuple] for sel in selections], config.tau)
+                              which, config.tau)
     l_k = (key_matching_loss(zs, selections, bank, config.distance) if config.lambda_k > 0
            else ad.constant(0.0))
     l_p = prompt_orthogonality_loss(bank, enc) if config.lambda_p > 0 else ad.constant(0.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import os
 
@@ -27,12 +28,15 @@ def keyed_rng(seed: int, *context: int) -> np.random.Generator:
 
 def check_number_types(settings) -> None:
     """Raise ``TypeError`` unless every int field of the dataclass ``settings``
-    holds an integer and every float field a real number; a bool is neither."""
+    holds an integer and every float field a finite real number; a bool is
+    neither. JSON's ``NaN`` and ``Infinity`` parse to floats, so this is where
+    they stop."""
     for f in dataclasses.fields(settings):
         kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
         value = getattr(settings, f.name)
-        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-            wanted = "an integer" if f.type == "int" else "a real number"
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)
+                                 or (kind is numbers.Real and not math.isfinite(value))):
+            wanted = "an integer" if f.type == "int" else "a finite real number"
             raise TypeError(f"{f.name} must be {wanted}, got {value!r}")
 
 

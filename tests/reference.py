@@ -1,13 +1,13 @@
 """Reference chains the fused code paths are pinned to, built on ``autodiff.record``.
 
-The package computes the text tower and each loss term over the whole
-batch as single fused tape nodes, all cosines through ``autodiff.cosines``.
-These finer primitives rebuild the same arithmetic one operation per node;
-tests check each against central differences and pin the package to them:
-the cosine kernel (as ``cosine_logits``, one vector against K rows), the
-unshared text tower and the three loss terms bit for bit, the
-prefix-shared text tower (which sums in another order) within 1e-12
-relative.
+The package computes the text tower, each loss term over the whole batch
+and their weighted total as single fused tape nodes, all cosines through
+``autodiff.cosines``. These finer primitives rebuild the same arithmetic
+one operation per node; tests check each against central differences and
+pin the package to them: the cosine kernel (as ``cosine_logits``, one
+vector against K rows), the unshared text tower, the three loss terms and
+the total (an ``add`` and ``scale`` chain) bit for bit, the prefix-shared
+text tower (which sums in another order) within 1e-12 relative.
 ``text_tower`` is the per-sequence tower as a chain, and ``ChainTower`` the
 stacked unshared tower as one such chain per sequence. ``classification_chain``,
 ``key_matching_chain`` and ``orthogonality_chain`` are the loss terms as
@@ -27,6 +27,34 @@ from attribank.objective import TRIPLET_MARGIN
 
 def _as_tensor(x) -> ad.Tensor:
     return x if isinstance(x, ad.Tensor) else ad.Tensor(x)
+
+
+def add(a, b) -> ad.Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape and a.shape != () and b.shape != ():  # one side may be a scalar
+        raise ad.ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    out = ad.Tensor(a.values + b.values)
+    a_shape, b_shape = a.shape, b.shape
+
+    def grad_fn(g):
+        ga = g if a_shape == out.shape else np.asarray(g.sum())
+        gb = g if b_shape == out.shape else np.asarray(g.sum())
+        return ga, gb
+
+    return ad.record("add", (a, b), out, grad_fn)
+
+
+def scale(a, alpha: float) -> ad.Tensor:
+    a = _as_tensor(a)
+    alpha = float(alpha)
+    if not np.isfinite(alpha):
+        raise ad.NumericError(f"scale: non-finite factor {alpha}")
+    out = ad.Tensor(a.values * alpha)
+
+    def grad_fn(g):
+        return (g * alpha,)
+
+    return ad.record("scale", (a,), out, grad_fn)
 
 
 def matmul(a, b) -> ad.Tensor:
@@ -246,8 +274,8 @@ def text_tower(encoders, x) -> ad.Tensor:
     """The frozen text tower of one (s, d) token sequence, one primitive per step."""
     psi = encoders.weights.psi
     s, d = x.shape
-    xp = ad.add(x, ad.constant(psi["pos"][:s]))
-    scores = ad.scale(matmul(matmul(xp, ad.constant(psi["w_mix"])), transpose(xp)),
+    xp = add(x, ad.constant(psi["pos"][:s]))
+    scores = scale(matmul(matmul(xp, ad.constant(psi["w_mix"])), transpose(xp)),
                       1.0 / np.sqrt(d))
     mixed = matmul(softmax_logits(scores), xp)
     pooled = matmul(ad.constant(np.full(s, 1.0 / s)), mixed)
@@ -278,9 +306,7 @@ class ChainTower:
             return stack([text_tower(self.encoders, concat(
                 [take(x, i) for i in seq.rows] + [tails.values[k:k + 1]]))
                 for k in range(tails.shape[0])])
-        if x.values.ndim == 3:
-            return stack([text_tower(self.encoders, take(x, i)) for i in range(x.shape[0])])
-        return stack([text_tower(self.encoders, x)])
+        return stack([text_tower(self.encoders, take(x, i)) for i in range(x.shape[0])])
 
 
 def classification_chain(zs, labels, embs, which, tau) -> ad.Tensor:
@@ -297,13 +323,13 @@ def key_matching_chain(zs, selections, bank, distance) -> ad.Tensor:
     weight = 2.0 if distance == "mse" else 1.0
     sums = []
     for z, sel in zip(zs, selections):
-        terms = ad.add(cosine_logits(ad.constant(z), take(bank.keys, sel.indices), -weight),
+        terms = add(cosine_logits(ad.constant(z), take(bank.keys, sel.indices), -weight),
                        weight)
         if distance == "triplet":
-            terms = ad.add(terms, TRIPLET_MARGIN - sel.negative)
-            terms = ad.scale(ad.add(terms, absolute(terms)), 0.5)
+            terms = add(terms, TRIPLET_MARGIN - sel.negative)
+            terms = scale(add(terms, absolute(terms)), 0.5)
         sums.append(sum_all(terms))
-    return ad.scale(sum_all(concat(sums)), 1.0 / len(selections))
+    return scale(sum_all(concat(sums)), 1.0 / len(selections))
 
 
 def orthogonality_chain(bank, encoder) -> ad.Tensor:
@@ -313,7 +339,7 @@ def orthogonality_chain(bank, encoder) -> ad.Tensor:
     embs = encoder.encode_text(TokenSequence(bank.prompts))
     pairs = [cosine_logits(take(embs, i), take(embs, range(i + 1, n)), 1.0)
              for i in range(n - 1)]
-    return ad.scale(sum_all(absolute(concat(pairs))), 1.0 / (n * (n - 1)))
+    return scale(sum_all(absolute(concat(pairs))), 1.0 / (n * (n - 1)))
 
 
 def score(z: np.ndarray, key: np.ndarray) -> float:

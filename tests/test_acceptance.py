@@ -23,7 +23,7 @@ from attribank.objective import (classification_loss, key_matching_loss,
 from attribank.trainer import TrainConfig, forward, init_state, run_sequence, train_step
 
 from conftest import rng
-from reference import predict_probabilities
+from reference import add, predict_probabilities, scale
 
 # Bundled synthetic continual benchmark: 5 tasks x 4 classes, 12 latent
 # attributes (3 per class), 32 dims, 50 samples per class, seeds {1, 2, 3}.
@@ -100,24 +100,26 @@ def test_criterion_2_oracle_equivalence():
         worst = max(worst, float(np.abs(p - p_oracle).max() / np.abs(p_oracle).max()))
 
         label = int(g.integers(5))
-        lm = classification_loss([z], [label], [ad.constant(np.stack(embs))], [0], tau).item()
+        lm = float(classification_loss([z], [label], [ad.constant(np.stack(embs))], [0],
+                                       tau).values)
         lm_oracle = -np.log(p_oracle[label])
         worst = max(worst, abs(lm - lm_oracle) / max(1.0, abs(lm_oracle)))
 
         bank = init_bank(6, 2, 8, seed=seed)
         sel = select_top_c(scores(z, bank.keys.values), 3)
-        lk = key_matching_loss([z], [sel], bank, "cosine").item()
+        lk = float(key_matching_loss([z], [sel], bank, "cosine").values)
         lk_oracle = sum(1.0 - cos(z, bank.keys.values[i]) for i in sel.indices)
         worst = max(worst, abs(lk - lk_oracle) / max(1.0, abs(lk_oracle)))
 
-        lp = prompt_orthogonality_loss(bank, enc).item()
-        ws = [enc.encode_text(TokenSequence(ad.constant(p_))).values[0]
+        lp = float(prompt_orthogonality_loss(bank, enc).values)
+        ws = [enc.encode_text(TokenSequence(ad.constant(p_[None]))).values[0]
               for p_ in bank.prompts.values]
         lp_oracle = sum(abs(cos(ws[i], ws[j]))
                         for i in range(6) for j in range(i + 1, 6)) / (6 * 5)
         worst = max(worst, abs(lp - lp_oracle) / max(1.0, abs(lp_oracle)))
 
-        total = total_loss(ad.constant(lm), ad.constant(lk), ad.constant(lp), 0.7, 0.3).item()
+        total = float(total_loss(ad.constant(lm), ad.constant(lk), ad.constant(lp),
+                                 0.7, 0.3).values)
         worst = max(worst, abs(total - (lm + 0.7 * lk + 0.3 * lp)) / max(1.0, abs(total)))
 
     announce(2, mismatches == 0 and worst <= 1e-10,
@@ -150,12 +152,12 @@ def test_criterion_3_gradient_routing():
 
         ad.reset_tape()
         _, l_k2, _, _ = forward(state, batch, cfg, selections)
-        ad.backward(ad.scale(l_k2, lam_k))
+        ad.backward(scale(l_k2, lam_k))
         worst_key = max(worst_key, float(np.abs(key_grads - state.bank.keys.grad).max()))
 
         ad.reset_tape()
         l_m3, _, l_p3, _ = forward(state, batch, cfg, selections)
-        ad.backward(ad.add(l_m3, ad.scale(l_p3, lam_p)))
+        ad.backward(add(l_m3, scale(l_p3, lam_p)))
         worst_prompt = max(worst_prompt,
                            float(np.abs(prompt_grads - state.bank.prompts.grad).max()))
 
@@ -268,7 +270,7 @@ def test_criterion_7_synthetic_cdcl():
 
 def test_criterion_8_prompt_diversity_mechanism():
     def mean_abs_cos(state):
-        embs = [state.encoders.encode_text(TokenSequence(ad.constant(p))).values[0]
+        embs = [state.encoders.encode_text(TokenSequence(ad.constant(p[None]))).values[0]
                 for p in state.bank.prompts.values]
         n = len(embs)
         vals = []

@@ -284,4 +284,37 @@ def test_compose_dimension_mismatch():
     sel = select_top_c(scores(np.ones(5), bank.keys.values), 1)
     enc = FrozenEncoderPair(d=5, image_width=5, seed=12, max_tokens=8)
     with pytest.raises(ad.ShapeError):
-        class_text_embeddings(enc, bank, sel, ad.constant(rng(0).standard_normal((2, 6))), {})
+        class_text_embeddings(enc, bank, [sel], ad.constant(rng(0).standard_normal((2, 6))))
+
+
+def test_class_text_embeddings_encode_each_selection_once_in_order_of_first_appearance():
+    bank = init_bank(5, 2, 6, seed=13).frozen_view()
+    enc = FrozenEncoderPair(d=6, image_width=6, seed=13, max_tokens=12)
+    class_rows = ad.constant(rng(14).standard_normal((4, 6)))
+    selections = route(rng(15).standard_normal((40, 6)), bank, 2)
+    calls = []
+    encode_text = enc.encode_text
+
+    def counting_encode_text(seq, tails=None):
+        calls.append(seq)
+        return encode_text(seq, tails)
+
+    enc.encode_text = counting_encode_text
+    cache = {}
+    embs, which = class_text_embeddings(enc, bank, selections, class_rows, cache)
+    distinct = list(dict.fromkeys(sel.index_tuple for sel in selections))
+    assert len(distinct) > 1 and len(calls) == len(embs) == len(distinct)
+    assert list(cache) == distinct and [cache[key] for key in distinct] == embs
+    assert which.tolist() == [distinct.index(sel.index_tuple) for sel in selections]
+    for sel, u in zip(selections, which):
+        want = encode_text(compose_text_input(sel, bank), class_rows).values
+        np.testing.assert_array_equal(embs[u].values, want)
+
+    again, which_again = class_text_embeddings(enc, bank, selections[::-1], class_rows, cache)
+    assert len(calls) == len(distinct)  # every selection a cache hit
+    assert [e is cache[sel.index_tuple] for e, sel in zip(
+        (again[u] for u in which_again), selections[::-1])] == [True] * len(selections)
+
+    # Without a bank every image shares the empty prefix.
+    embs, which = class_text_embeddings(enc, None, route(np.zeros((3, 6)), None, 2), class_rows)
+    assert len(embs) == 1 and which.tolist() == [0, 0, 0] and len(calls) == len(distinct) + 1

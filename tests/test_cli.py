@@ -7,6 +7,7 @@ import pytest
 from attribank import cli
 from attribank import data_io as dio
 from attribank.encoders import ImageSample
+from attribank.objective import total_loss
 
 
 def write_config(tmp_path, **overrides):
@@ -354,8 +355,19 @@ def test_gradcheck_default_sizes_pass(capsys):
     assert "keys" in out and "prompts" in out and "shared_prompt" in out
 
 
-def test_gradcheck_corrupted_gradients_exit_3(capsys):
-    assert cli.main(["gradcheck", "--corrupt"]) == 3
+def test_gradcheck_corrupted_gradients_exit_3(capsys, monkeypatch):
+    # The loss each check sees gains its parts' sum, out of the tape's sight:
+    # central differences see that slope, backward does not.
+    def corrupted(l_m, l_k, l_p, lambda_k, lambda_p):
+        total = total_loss(l_m, l_k, l_p, lambda_k, lambda_p)
+        total.values = total.values + (l_m.values + l_k.values + l_p.values)
+        return total
+
+    monkeypatch.setattr(cli, "total_loss", corrupted)
+    assert cli.main(["gradcheck"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["keys", "prompts", "shared_prompt"]
+    assert all(line.endswith("[FAIL]") for line in lines), lines
 
 
 def test_gradcheck_covers_all_distance_variants(capsys):
@@ -425,7 +437,9 @@ def test_cdcl_with_an_unknown_config_mode_exits_1(tmp_path, capsys):
 
 
 # Numbers of the wrong type. Unchecked, the first six ended in a traceback and
-# the last three ran: the seed and shared_attributes truncated, tau read as 1.
+# the next three ran: the seed and shared_attributes truncated, tau read as 1.
+# JSON's NaN and Infinity parse to floats; unchecked, an infinite tau trained
+# on all-zero logits and the rest failed mid-run with exit 3.
 @pytest.mark.parametrize("command, section, key, value", [
     ("train", "train", "epochs_per_task", 1.5),
     ("train", "train", "batch_size", 7.5),
@@ -436,6 +450,13 @@ def test_cdcl_with_an_unknown_config_mode_exits_1(tmp_path, capsys):
     ("train", "train", "seed", 1.5),
     ("cdcl", "data", "shared_attributes", 1.7),
     ("train", "train", "tau", True),
+    ("train", "train", "lr0", float("nan")),
+    ("train", "train", "lr0", float("inf")),
+    ("train", "train", "tau", float("inf")),
+    ("train", "train", "lambda_k", float("inf")),
+    ("train", "train", "lambda_p", float("nan")),
+    ("train", "synthetic", "noise_sigma", float("nan")),
+    ("train", "synthetic", "noise_sigma", float("inf")),
 ])
 def test_number_of_the_wrong_type_exits_1(tmp_path, capsys, command, section, key, value):
     path = cdcl_config(tmp_path) if command == "cdcl" else write_config(tmp_path)

@@ -92,7 +92,7 @@ def test_lookup_backend_requires_matching_width():
 
 def test_encode_text_deterministic():
     enc = make_pair(6)
-    tokens = rng(10).standard_normal((4, 8))
+    tokens = rng(10).standard_normal((1, 4, 8))
     a = enc.encode_text(TokenSequence(ad.constant(tokens)))
     b = enc.encode_text(TokenSequence(ad.constant(tokens)))
     np.testing.assert_array_equal(a.values, b.values)
@@ -101,7 +101,7 @@ def test_encode_text_deterministic():
 
 def test_encode_text_gradient_matches_finite_differences():
     enc = make_pair(11)
-    start = rng(12).standard_normal((3, 8)) * 0.3
+    start = rng(12).standard_normal((1, 3, 8)) * 0.3
     for seed in range(3):
         tokens = ad.parameter(start + 0.1 * seed)
         err = ad.finite_difference_check(
@@ -111,8 +111,8 @@ def test_encode_text_gradient_matches_finite_differences():
 
 def test_encode_text_is_order_sensitive():
     enc = make_pair(13)
-    tokens = rng(14).standard_normal((3, 8))
-    swapped = tokens[[1, 0, 2]]
+    tokens = rng(14).standard_normal((1, 3, 8))
+    swapped = tokens[:, [1, 0, 2]]
     a = enc.encode_text(TokenSequence(ad.constant(tokens))).values
     b = enc.encode_text(TokenSequence(ad.constant(swapped))).values
     assert not np.allclose(a, b)
@@ -120,7 +120,7 @@ def test_encode_text_is_order_sensitive():
 
 def test_text_weights_receive_no_gradient():
     enc = make_pair(15)
-    tokens = ad.parameter(rng(16).standard_normal((3, 8)))
+    tokens = ad.parameter(rng(16).standard_normal((1, 3, 8)))
     ad.backward(sum_all(enc.encode_text(TokenSequence(tokens))))
     assert tokens.grad is not None and np.abs(tokens.grad).max() > 0
     # The tower's node has the tokens as its only input: the frozen weights
@@ -153,11 +153,11 @@ def test_encode_text_matches_primitive_chain_bit_for_bit():
     weights = rng(21).standard_normal(8)
     results = []
     for fused in (True, False):
-        x = ad.parameter(start.copy())
+        x = ad.parameter(start[None].copy() if fused else start.copy())
         ad.reset_tape()
         out = enc.encode_text(TokenSequence(x)) if fused else text_tower(enc, x)
         ad.backward(sum_all(mul(out, ad.constant(weights.reshape(out.shape)))))
-        results.append((out.values.reshape(-1), x.grad))
+        results.append((out.values.reshape(-1), x.grad.reshape(start.shape)))
     np.testing.assert_array_equal(results[0][0], results[1][0])
     np.testing.assert_array_equal(results[0][1], results[1][1])
 
@@ -206,15 +206,15 @@ def test_encoder_weights_are_write_protected():
 def test_encode_text_rejects_wrong_dim_and_overlong():
     enc = make_pair(18, max_tokens=4)
     with pytest.raises(ad.ShapeError):
-        enc.encode_text(TokenSequence(ad.constant(np.zeros((2, 5)))))
+        enc.encode_text(TokenSequence(ad.constant(np.zeros((1, 2, 5)))))
     with pytest.raises(ad.ShapeError, match="positional"):
-        enc.encode_text(TokenSequence(ad.constant(np.zeros((5, 8)))))
+        enc.encode_text(TokenSequence(ad.constant(np.zeros((1, 5, 8)))))
     with pytest.raises(ad.ShapeError, match="positional"):
         enc.encode_text(TokenSequence(ad.constant(np.zeros((4, 8)))), ad.constant(np.zeros((2, 8))))
     with pytest.raises(ad.ShapeError, match="tails"):
         enc.encode_text(TokenSequence(ad.constant(np.zeros((2, 8)))), ad.constant(np.zeros((2, 5))))
     with pytest.raises(ad.ShapeError, match="tail"):
-        enc.encode_text(TokenSequence(ad.constant(np.zeros((0, 8)))))
+        enc.encode_text(TokenSequence(ad.constant(np.zeros((1, 0, 8)))))
 
 
 def test_plain_prefix_with_tails_on_the_tape_raises():
@@ -227,6 +227,19 @@ def test_plain_prefix_with_tails_on_the_tape_raises():
         ad.reset_tape()
         with pytest.raises(ad.ShapeError, match="tails"):
             enc.encode_text(TokenSequence(seq), t)
+        assert not ad.active_tape()
+
+
+def test_encode_text_without_tails_needs_a_whole_stack():
+    # Without tails every sequence is a stack entry: a matrix, or rows of a
+    # stack, is a prefix and has no tail to end it.
+    enc = make_pair(18)
+    stack = np.zeros((4, 2, 8))
+    for seq in (TokenSequence(ad.constant(stack[0])), TokenSequence(ad.parameter(stack[0])),
+                TokenSequence(ad.parameter(stack), [2, 0])):
+        ad.reset_tape()
+        with pytest.raises(ad.ShapeError, match="without tails"):
+            enc.encode_text(seq)
         assert not ad.active_tape()
 
 

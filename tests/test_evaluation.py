@@ -136,7 +136,7 @@ def test_evaluate_planted_samples_score_perfectly():
     state = prepared_state(stream, cfg, mode="zero_shot")
     planted = []
     for cid in state.seen_classes():
-        seq = TokenSequence(ad.constant(state.class_tokens[cid].reshape(1, -1)))
+        seq = TokenSequence(ad.constant(state.class_tokens[cid].reshape(1, 1, -1)))
         w = state.encoders.encode_text(seq).values[0]
         # invert the toy image map approximately: plant features whose encoding
         # equals the class text embedding, via least squares
@@ -160,7 +160,7 @@ def test_evaluate_matches_brute_force_scorer():
         best_cid, best_score = None, -np.inf
         prefix = compose_text_input(sel, state.bank.frozen_view()).tokens.values
         for cid in candidates:
-            seq = TokenSequence(ad.constant(np.vstack([prefix, state.class_tokens[cid]])))
+            seq = TokenSequence(ad.constant(np.vstack([prefix, state.class_tokens[cid]])[None]))
             w = state.encoders.encode_text(seq).values[0]
             sc = float(np.dot(z, w) / (np.linalg.norm(z) * np.linalg.norm(w)))
             if sc > best_score:

@@ -25,7 +25,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "attribank"
 
 # The ATRB writer stays beside its reader, so the file format lives in one module.
-ALLOWED = {"write_embedding_file", "Tensor.item"}
+ALLOWED = {"write_embedding_file"}
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

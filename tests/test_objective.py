@@ -8,8 +8,8 @@ from attribank.objective import (DISTANCES, classification_loss, key_matching_lo
                                  prompt_orthogonality_loss, total_loss, breakdown)
 
 from conftest import rng
-from reference import (classification_chain, key_matching_chain, orthogonality_chain,
-                       predict_probabilities)
+from reference import (add, classification_chain, key_matching_chain, orthogonality_chain,
+                       predict_probabilities, scale)
 
 D = 8
 
@@ -101,7 +101,7 @@ def one_sample_loss(z, label, embs, tau):
 def test_classification_loss_single_class_is_zero():
     z, embs, tau = random_instance(6, k=1)
     loss = one_sample_loss(z, 0, embs, tau)
-    assert loss.item() == 0.0
+    assert float(loss.values) == 0.0
 
 
 def test_classification_loss_uniform_logits_is_log_k():
@@ -109,7 +109,7 @@ def test_classification_loss_uniform_logits_is_log_k():
     w = rng(8).standard_normal(D)
     for k in (2, 3, 7):
         loss = one_sample_loss(z, 0, [w] * k, tau=0.5)
-        assert abs(loss.item() - np.log(k)) < 1e-9
+        assert abs(float(loss.values) - np.log(k)) < 1e-9
 
 
 def test_classification_loss_matches_cross_entropy_oracle():
@@ -117,7 +117,7 @@ def test_classification_loss_matches_cross_entropy_oracle():
         g = rng(seed)
         z, embs, tau = random_instance(seed, k=4, tau=0.07)
         label = int(g.integers(4))
-        got = one_sample_loss(z, label, embs, tau).item()
+        got = float(one_sample_loss(z, label, embs, tau).values)
         assert abs(got - cross_entropy_oracle(z, label, embs, tau)) <= 1e-10 * max(1.0, got)
 
 
@@ -131,7 +131,7 @@ def test_classification_loss_batch_is_mean():
         labels.append(label)
         rows.append(as_rows(embs))
         expected.append(cross_entropy_oracle(z, label, embs, 0.2))
-    got = classification_loss(zs, labels, rows, range(4), 0.2).item()
+    got = float(classification_loss(zs, labels, rows, range(4), 0.2).values)
     np.testing.assert_allclose(got, np.mean(expected), rtol=1e-10)
 
 
@@ -148,7 +148,7 @@ def test_key_matching_collinear_keys_give_zero():
         bank.keys.values[i] = (i + 1.0) * z
     sel = select_top_c(scores(z, bank.keys.values), 3)
     loss = key_matching_loss([z], [sel], bank, "cosine")
-    assert abs(loss.item()) < 1e-9
+    assert abs(float(loss.values)) < 1e-9
 
 
 def test_key_matching_orthogonal_key_contributes_one():
@@ -157,7 +157,7 @@ def test_key_matching_orthogonal_key_contributes_one():
     sel = select_top_c(scores(np.array([1.0, 0.0]), bank.keys.values), 1)
     assert sel.indices == [0]
     loss = key_matching_loss([np.array([1.0, 0.0])], [sel], bank, "cosine")
-    assert abs(loss.item() - 1.0) < 1e-9
+    assert abs(float(loss.values) - 1.0) < 1e-9
 
 
 def key_loss_oracle(z, sel, key_rows, variant, margin=0.2):
@@ -183,7 +183,7 @@ def test_key_matching_matches_per_term_oracle(variant):
         bank = init_bank(6, 1, D, seed=seed)
         z = rng(seed).standard_normal(D)
         sel = select_top_c(scores(z, bank.keys.values), 3)
-        got = key_matching_loss([z], [sel], bank, variant).item()
+        got = float(key_matching_loss([z], [sel], bank, variant).values)
         want = key_loss_oracle(z, sel, bank.keys.values, variant)
         assert abs(got - want) <= 1e-10, f"{variant} seed {seed}"
 
@@ -206,7 +206,7 @@ def test_key_matching_triplet_negative_is_detached():
     sel = select_top_c(scores(z, bank.keys.values), 2)
     loss = key_matching_loss([z], [sel], bank, "triplet")
     # The hinge is active at the fixed margin, so the selected keys do get gradient.
-    assert loss.item() > 0
+    assert float(loss.values) > 0
     ad.backward(loss)
     for i in range(4):
         assert bank.keys.grad[i].any() == (i in sel.indices), f"key {i}"
@@ -234,51 +234,51 @@ class StubEncoder:
 def test_prompt_orthogonality_orthogonal_pair_is_zero():
     bank = init_bank(2, 2, 4, seed=19)
     enc = StubEncoder([np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0])])
-    assert abs(prompt_orthogonality_loss(bank, enc).item()) < 1e-12
+    assert abs(float(prompt_orthogonality_loss(bank, enc).values)) < 1e-12
 
 
 def test_prompt_orthogonality_identical_prompts_give_half():
     bank = init_bank(2, 2, D, seed=20)
     bank.prompts.values[1] = bank.prompts.values[0]
     enc = make_encoder(21)
-    assert abs(prompt_orthogonality_loss(bank, enc).item() - 0.5) < 1e-9
+    assert abs(float(prompt_orthogonality_loss(bank, enc).values) - 0.5) < 1e-9
 
 
 def test_prompt_orthogonality_matches_double_loop_oracle():
     enc = make_encoder(22)
     for seed in range(30):
         bank = init_bank(4, 2, D, seed=seed)
-        embs = [enc.encode_text(TokenSequence(ad.constant(p))).values[0]
+        embs = [enc.encode_text(TokenSequence(ad.constant(p[None]))).values[0]
                 for p in bank.prompts.values]
         want = 0.0
         for i in range(4):
             for j in range(i + 1, 4):
                 want += abs(np_cosine_guarded(embs[i], embs[j]))
         want /= 4 * 3
-        got = prompt_orthogonality_loss(bank, enc).item()
+        got = float(prompt_orthogonality_loss(bank, enc).values)
         assert abs(got - want) <= 1e-12
 
 
 def test_prompt_orthogonality_single_entry_bank_is_zero():
     bank = init_bank(1, 2, 4, seed=23)
-    assert prompt_orthogonality_loss(bank, make_encoder()).item() == 0.0
+    assert float(prompt_orthogonality_loss(bank, make_encoder()).values) == 0.0
 
 
 def test_prompt_orthogonality_invariant_under_index_permutation():
     enc = make_encoder(24)
     bank = init_bank(5, 2, D, seed=24)
-    base = prompt_orthogonality_loss(bank, enc).item()
+    base = float(prompt_orthogonality_loss(bank, enc).values)
     perm = rng(25).permutation(5)
     bank.prompts = ad.parameter(bank.prompts.values[perm])
     bank.keys = ad.parameter(bank.keys.values[perm])
-    assert abs(prompt_orthogonality_loss(bank, enc).item() - base) < 1e-12
+    assert abs(float(prompt_orthogonality_loss(bank, enc).values) - base) < 1e-12
 
 
 def test_total_loss_reduces_to_lm_when_weights_zero():
     lm = ad.constant(1.234)
     lk = ad.constant(9.0)
     lp = ad.constant(3.0)
-    assert total_loss(lm, lk, lp, 0.0, 0.0).item() == 1.234
+    assert float(total_loss(lm, lk, lp, 0.0, 0.0).values) == 1.234
 
 
 def test_total_loss_matches_weighted_sum_oracle():
@@ -286,8 +286,38 @@ def test_total_loss_matches_weighted_sum_oracle():
     for _ in range(100):
         lm, lk, lp = g.random(3)
         wk, wp = g.random(2)
-        got = total_loss(ad.constant(lm), ad.constant(lk), ad.constant(lp), wk, wp).item()
+        got = float(total_loss(ad.constant(lm), ad.constant(lk), ad.constant(lp), wk, wp).values)
         assert abs(got - (lm + wk * lk + wp * lp)) <= 1e-15
+
+
+def test_total_loss_is_its_add_scale_chain_bit_for_bit():
+    # One node in place of add(add(l_m, scale(l_k, lk)), scale(l_p, lp)); a
+    # scale after it makes the incoming gradient other than 1. A term built
+    # as a constant (its weight is 0, or the bank has one entry) gets none.
+    lambdas = (0.0, 0.3, 0.7, 1.3)
+    g = rng(28)
+    for lam_k in lambdas:
+        for lam_p in lambdas:
+            for constant in (None, "l_k", "l_p"):
+                start = g.standard_normal(3) * 4.0
+                w = float(g.standard_normal())
+                results = []
+                for fused in (True, False):
+                    parts = {name: (ad.constant if name == constant else ad.parameter)(v)
+                             for name, v in zip(("l_m", "l_k", "l_p"), start)}
+                    l_m, l_k, l_p = parts.values()
+                    ad.reset_tape()
+                    total = (total_loss(l_m, l_k, l_p, lam_k, lam_p) if fused
+                             else add(add(l_m, scale(l_k, lam_k)), scale(l_p, lam_p)))
+                    ad.backward(scale(total, w))
+                    if fused:
+                        assert [node.op for node in ad.active_tape()] == ["total_loss", "scale"]
+                    results.append([total.values] + [t.grad for t in parts.values()])
+                for got, want in zip(*results):
+                    if want is None:
+                        assert got is None
+                    else:
+                        np.testing.assert_array_equal(got, want)
 
 
 def test_breakdown_identity_holds():
@@ -327,7 +357,7 @@ def fused_and_chain(build, backward_into):
     for fused in (True, False):
         ad.reset_tape()
         loss, params = build(fused)
-        ad.backward(ad.scale(loss, 0.7))
+        ad.backward(scale(loss, 0.7))
         results.append([loss.values] + [backward_into(p) for p in params])
     return results
 

@@ -15,7 +15,7 @@ from attribank.trainer import (SequenceError, TrainConfig, forward, init_state, 
                                run_sequence, train_step, train_task)
 
 from conftest import RecordingList, rng
-from reference import ChainTower, concat, mul, sum_all
+from reference import ChainTower, add, concat, mul, sum_all
 
 
 def tiny_stream(seed=1, tasks=2, classes=2, samples=6, dim=8):
@@ -140,8 +140,8 @@ def test_train_step_matches_fd_sgd_oracle():
         candidates = state.seen_classes()
         from attribank.bank import compose_text_input
         prefix = compose_text_input(frozen_sel, state.bank.frozen_view()).tokens
-        embs = concat([state.encoders.encode_text(TokenSequence(concat(
-            [prefix, ad.constant(state.class_tokens[cid][None])]))) for cid in candidates])
+        embs = concat([state.encoders.encode_text(TokenSequence(ad.constant(np.vstack(
+            [prefix.values, state.class_tokens[cid]])[None]))) for cid in candidates])
         l_m = classification_loss([z], [candidates.index(batch[0].label)], [embs], [0], cfg.tau)
         l_k = key_matching_loss([z], [frozen_sel], state.bank, cfg.distance)
         l_p = prompt_orthogonality_loss(state.bank, state.encoders)
@@ -188,10 +188,10 @@ def test_training_class_embeddings_keep_the_unshared_arithmetic_bit_for_bit():
         for tower in (enc, ChainTower(enc)):
             bank = init_bank(n, m, d, seed=k)
             ad.reset_tape()
-            embs = [class_text_embeddings(tower, bank, sel, class_rows, {}) for sel in sels]
+            embs = class_text_embeddings(tower, bank, sels, class_rows)[0]
             loss = prompt_orthogonality_loss(bank, tower)
             for e, w in zip(embs, weights):
-                loss = ad.add(loss, sum_all(mul(e, ad.constant(w))))
+                loss = add(loss, sum_all(mul(e, ad.constant(w))))
             ad.backward(loss)
             results.append([e.values for e in embs] + [loss.values, bank.prompts.grad])
         for got, want in zip(*results):
@@ -233,8 +233,8 @@ def test_forward_without_a_bank_raises_value_error():
 @pytest.mark.parametrize("mode", ["attriclip", "shared_prompt"])
 def test_a_step_records_a_fixed_handful_of_nodes(mode, monkeypatch):
     # attriclip: U tower nodes (one per distinct selection), L_m, L_k, L_p's
-    # encode and pair nodes, and total_loss's two scales and two adds.
-    # shared_prompt: one tower node, L_m and total_loss's two adds.
+    # encode and pair nodes, and total_loss.
+    # shared_prompt: one tower node, L_m and total_loss.
     stream = tiny_stream(tasks=40, classes=2, samples=8)
     cfg = tiny_config(n=6, c=2, lambda_k=0.7, lambda_p=0.3)
     counts = []
@@ -257,7 +257,7 @@ def test_a_step_records_a_fixed_handful_of_nodes(mode, monkeypatch):
                         for sel in route(state.encoders.encode_image(batch), state.bank, cfg.c)}
             assert b == 1 or mode == "shared_prompt" or len(distinct) > 1
             train_step(state, batch, cfg, cfg.lr0)
-            want = len(distinct) + 8 if mode == "attriclip" else 4
+            want = len(distinct) + 5 if mode == "attriclip" else 3
             assert counts[-1] == want, (k, b)
 
 
