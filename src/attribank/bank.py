@@ -128,51 +128,43 @@ def route(zs: np.ndarray, bank: AttributeBank | None, c: int) -> list:
 
 
 def compose_text_input(sel: Selection, bank: AttributeBank) -> TokenSequence:
-    """The prompt prefix of a selection: its prompts in selection order.
+    """The prompt prefix of a selection: the rows ``sel.indices`` of ``bank.prompts``.
 
-    Every candidate class's text is this prefix plus its class token. On a
-    parameter bank (training) it is the selected rows of ``bank.prompts``,
-    which the text tower reads itself and adds their gradients back into.
-    On ``frozen_view()`` (evaluation) it is a constant (C*m, d) copy of them.
+    Every candidate class's text is this prefix plus its class token. The
+    text tower reads the rows itself, in selection order. On a parameter
+    bank (training) it adds their gradients back into them; on
+    ``frozen_view()`` (evaluation) they are constants.
     """
-    for i in sel.indices:
-        if not 0 <= i < bank.n:
-            raise ValueError(f"selection index {i} outside bank of {bank.n}")
-    prompts = bank.prompts
-    if prompts.requires_grad:
-        return TokenSequence(prompts, sel.indices)
-    return TokenSequence(ad.constant(prompts.values[sel.indices].reshape(-1, prompts.shape[2])))
+    return TokenSequence(bank.prompts, sel.indices)
 
 
 def class_text_embeddings(encoders, bank: AttributeBank | None, selections, class_rows: ad.Tensor,
                           cache: dict | None = None):
     """Text embeddings of every candidate class under each image's selection.
 
-    Returns ``(embs, which)``: one (K, d) tensor per distinct selection in
-    ``selections``, in order of first appearance, and the (B,) index of
-    each image's own tensor in ``embs``. ``class_rows`` holds the K
-    candidates' class tokens, one per row, and ``cache`` keeps one entry
-    per selection. Each distinct selection is looked up in ``cache`` and on
-    a miss encoded once: one ``encode_text`` call whose sequences are the
-    selection's composed prompts followed by each class token. With no
-    selection the prefix is empty and the class tokens are encoded alone.
-    On a parameter bank that call is one tape node, each class's sequence
-    unshared, so values and the order prompt gradients are summed in stay
-    those of K separate sequences, bit for bit; on ``frozen_view()`` it is
-    the prefix-shared tower's values.
+    Returns ``(embs, groups)``: one (K, d) tensor per distinct selection in
+    ``selections``, in order of first appearance, and for each the int64
+    array of the images routed to it, in increasing order. ``class_rows``
+    holds the K candidates' class tokens, one per row, and ``cache`` keeps
+    one entry per selection. Each distinct selection is looked up in
+    ``cache`` and on a miss encoded once: one ``encode_text`` call whose
+    sequences are the selection's composed prompts followed by each class
+    token. With no selection the prefix is no rows of an empty stack and the
+    class tokens are encoded alone. On a parameter bank that call is one
+    tape node, each class's sequence unshared, so values and the order
+    prompt gradients are summed in stay those of K separate sequences, bit
+    for bit; on ``frozen_view()`` it is the prefix-shared tower's values.
     """
     cache = {} if cache is None else cache
-    slot: dict = {}
-    embs, which = [], np.empty(len(selections), dtype=np.int64)
+    embs, groups = [], {}
     for i, sel in enumerate(selections):
         key = None if sel is None else sel.index_tuple
-        u = slot.get(key)
-        if u is None:
-            u = slot[key] = len(embs)
+        if key not in groups:
+            groups[key] = []
             if key not in cache:
-                prefix = (TokenSequence(ad.constant(np.zeros((0, class_rows.shape[1]))))
+                prefix = (TokenSequence(ad.constant(np.zeros((0, 0, class_rows.shape[1]))), [])
                           if sel is None else compose_text_input(sel, bank))
                 cache[key] = encoders.encode_text(prefix, class_rows)
             embs.append(cache[key])
-        which[i] = u
-    return embs, which
+        groups[key].append(i)
+    return embs, [np.array(rows, dtype=np.int64) for rows in groups.values()]

@@ -221,6 +221,9 @@ def _train(raw: dict, out: str, mode: str | None, seed: int | None, resume: bool
                 raise ConfigError(f"--resume: {name} was written with {ckpt_cfg}, not {cfg}")
             if state.data_hash != data_hash:
                 raise ConfigError(f"--resume: {name} was written for another data section")
+            if not state.tasks_done == max(ckpts) + 1 <= len(stream.tasks):
+                raise dio.DataError(f"--resume: {name} records {state.tasks_done} tasks done; its "
+                                    f"name says {max(ckpts) + 1}, the stream has {len(stream.tasks)}")
             matrix_path = os.path.join(out, "accuracy_matrix.json")
             try:
                 matrix = AccuracyMatrix.from_dict(_read_run_json(matrix_path))

@@ -415,6 +415,9 @@ def read_checkpoint(path: str):
 
 def _state_from_sections(sections: dict):
     meta = json.loads(sections["meta"].decode())
+    for key in ("step_counter", "tasks_done"):
+        if type(meta[key]) is not int or meta[key] < 0:
+            raise ValueError(f"{key} {meta[key]!r} is not a non-negative integer")
     config = TrainConfig(**json.loads(sections["config"].decode()))
     mode = meta["mode"]
     expected = {"meta", "config", "class_tokens"}

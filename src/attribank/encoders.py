@@ -15,14 +15,15 @@ The text encoder is a deliberately small, order-sensitive network:
 Its weights are frozen; gradients flow only into the input tokens, which is
 exactly the property prompt tuning relies on.
 
-``encode_text`` embeds a stack of sequences in one of two arithmetics, and
-the tape picks which. Evaluation, where nothing requires a gradient,
-encodes K sequences that share one prefix and differ in their last token,
-such as one selection's prompts followed by each candidate's class token,
-prefix-shared and forward only: the prefix's scores are computed once, and
-each tail adds one score row and one score column. Training runs every
-sequence through the tower on its own as one tape node, stacked over a
-(K, s, d) array with numpy forms that equal their per-slice calls, so its
+Its input is an (n, m, d) token stack: every entry as one sequence, or the
+entries ``rows`` as one prefix followed by each of K tails, such as one
+selection's prompts followed by each candidate's class token.
+``encode_text`` embeds them in one of two arithmetics, and the tape picks
+which. Evaluation, where nothing requires a gradient, encodes a prefix and
+its tails prefix-shared and forward only: the prefix's scores are computed
+once, and each tail adds one score row and one score column. Training runs
+every sequence through the tower on its own as one tape node, stacked over
+a (K, s, d) array with numpy forms that equal their per-slice calls, so its
 values and gradients are those of one sequence at a time, bit for bit.
 """
 
@@ -52,11 +53,11 @@ class ImageSample:
 class TokenSequence:
     """Ordered tokens, possibly on the tape.
 
-    ``tokens`` is an (L, d) matrix, one constant prefix (an empty (0, d)
-    matrix is the prefix of a learner without a bank), or an (n, m, d) stack
-    of n sequences. With ``rows`` the one prefix is the stack entries
-    ``rows`` in that order, such as a selection's prompts in
-    ``bank.prompts``; the text tower reads them itself.
+    ``tokens`` is always an (n, m, d) stack. Without ``rows`` it is n
+    sequences, one per entry. With ``rows`` it is one prefix, the stack
+    entries ``rows`` in that order, such as a selection's prompts in
+    ``bank.prompts``; the text tower reads them itself. A learner without a
+    bank has the prefix ``[]`` of an empty (0, 0, d) stack.
     """
 
     tokens: ad.Tensor
@@ -64,9 +65,8 @@ class TokenSequence:
 
     def __post_init__(self):
         shape = self.tokens.shape
-        if len(shape) not in (2, 3) or (self.rows is not None and len(shape) != 3):
-            raise ad.ShapeError(f"TokenSequence expects a (length, dim) matrix or an "
-                                f"(n, m, dim) stack, which rows need, got {shape}")
+        if len(shape) != 3:
+            raise ad.ShapeError(f"TokenSequence expects an (n, m, dim) stack, got {shape}")
         if self.rows is not None and (len(set(self.rows)) != len(self.rows)
                                       or not all(0 <= i < shape[0] for i in self.rows)):
             raise IndexError(f"TokenSequence: rows {self.rows} out of range or repeated for {shape}")
@@ -166,8 +166,8 @@ class FrozenEncoderPair:
         * ``seq.rows`` with ``tails`` (training) gives one row per tail, each
           sequence the stack entries ``rows`` followed by its tail.
 
-        On the tape, ``tails`` need rows of a stack: only those take the
-        prefix's gradient back, so a plain (L, d) prefix raises.
+        ``seq.rows`` come exactly with ``tails``; rows without tails, or
+        tails without rows, raise ``ShapeError``.
 
         Prefix-shared, every sequence shares its first L rows, so the L x L
         prefix block of the scores is computed once; each tail adds one score
@@ -188,26 +188,21 @@ class FrozenEncoderPair:
             raise ad.ShapeError(f"encode_text: token dim {x.shape[-1]} != encoder dim {self.d}")
         if tails is not None and (tails.values.ndim != 2 or tails.shape[1] != self.d):
             raise ad.ShapeError(f"encode_text: tails must be (K, {self.d}), got {tails.shape}")
-        if tails is None and (x.values.ndim != 3 or seq.rows is not None):
-            raise ad.ShapeError(f"encode_text: without tails, seq must be a whole (n, m, d) "
-                                f"stack, got {x.shape} with rows {seq.rows}")
-        n = x.shape[-2] if seq.rows is None else len(seq.rows) * x.shape[1]
+        if (tails is None) != (seq.rows is None):
+            raise ad.ShapeError(f"encode_text: rows of a stack come with tails, got rows "
+                                f"{seq.rows} and {'no ' if tails is None else ''}tails")
+        n = x.shape[1] if seq.rows is None else len(seq.rows) * x.shape[1]
         length = n + (tails is not None)
         if length < 1:
             raise ad.ShapeError("encode_text: no tail row")
         if length > self.max_tokens:
             raise ad.ShapeError(
                 f"encode_text: sequence length {length} exceeds positional table ({self.max_tokens})")
-        on_tape = x.requires_grad or (tails is not None and tails.requires_grad)
-        if tails is not None and seq.rows is None and (on_tape or x.values.ndim == 3):
-            raise ad.ShapeError("encode_text: tails need rows of a stack, or a constant "
-                                "(L, d) prefix off the tape")
-        if tails is None or on_tape:
+        if tails is None or x.requires_grad or tails.requires_grad:
             return self._encode_unshared(seq, tails)
         psi, alpha = self.weights.psi, self._inv_sqrt_d
         mix, proj = psi["w_mix"], psi["w_proj"]
-        prefix = x.values if seq.rows is None else x.values[seq.rows].reshape(n, self.d)
-        xp = prefix + psi["pos"][:n]        # (L, d), shared
+        xp = x.values[seq.rows].reshape(n, self.d) + psi["pos"][:n]  # (L, d), shared
         xt = tails.values + psi["pos"][n]   # (K, d), one row per sequence
         xm, xmt = xp @ mix, xt @ mix
         # Prefix rows: the shared block, then one column per tail.

@@ -116,9 +116,7 @@ def evaluate(state, test_set, candidate_classes, cache: dict | None = None) -> f
     class_rows = state.class_token_rows(candidates)
     table = ({} if cache is None else cache).setdefault(tuple(candidates), {})
     zs = enc.encode_image(test_set)
-    embs, which = class_text_embeddings(enc, bank, route(zs, bank, state.top_c), class_rows, table)
-    # Each group's rows in increasing order: a stable sort of the group index.
-    groups = np.split(np.argsort(which, kind="stable"), np.cumsum(np.bincount(which))[:-1])
+    embs, groups = class_text_embeddings(enc, bank, route(zs, bank, state.top_c), class_rows, table)
     predicted = np.empty(len(test_set), dtype=np.int64)
     for emb, rows in zip(embs, groups):
         for start in range(0, len(rows), _EVAL_ROWS):

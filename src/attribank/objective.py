@@ -46,15 +46,15 @@ class LossBreakdown:
     total: float
 
 
-def classification_loss(zs, labels, embs, which, tau: float) -> ad.Tensor:
+def classification_loss(zs, labels, embs, groups, tau: float) -> ad.Tensor:
     """Mean negative log-probability of the true class over the batch, as one node.
 
-    Row i of the (B, d) ``zs`` is an image embedding, ``labels[i]`` its
-    class's row among the candidates, and ``embs[which[i]]`` the (K, d) text
-    embeddings of the candidates under its selection; ``embs`` holds one
-    tensor per distinct selection. Each takes the sum of its samples'
-    gradients in reverse sample order, the first as is, as backward would
-    add B per-sample nodes.
+    Row i of the (B, d) ``zs`` is an image embedding and ``labels[i]`` its
+    class's row among the candidates. As ``bank.class_text_embeddings`` gives
+    them, ``embs[u]`` holds a selection's (K, d) candidate text embeddings and
+    ``groups[u]`` its rows of ``zs`` in increasing order. Each tensor takes
+    the sum of its samples' gradients in reverse sample order, the first as
+    is, as backward would add B per-sample nodes.
     """
     zs = np.asarray(zs, dtype=np.float64)
     if not len(zs):
@@ -65,13 +65,12 @@ def classification_loss(zs, labels, embs, which, tau: float) -> ad.Tensor:
     for label in labels:
         if not 0 <= label < k:
             raise IndexError(f"label index {label} out of range for {k} classes")
-    rows, labels, which = np.arange(len(zs)), np.asarray(labels), np.asarray(which)
+    rows, labels = np.arange(len(zs)), np.asarray(labels)
     inv_tau = 1.0 / tau
     # Each selection's samples against its own (K, d) embeddings, broadcast.
-    members = [np.flatnonzero(which == u) for u in range(len(embs))]
     logits = np.empty((len(zs), k))
     grads = []
-    for emb, mine in zip(embs, members):
+    for emb, mine in zip(embs, groups):
         c, grads_u = ad.cosines(zs[mine], emb.values)
         logits[mine] = c * inv_tau
         grads.append(grads_u)
@@ -84,7 +83,7 @@ def classification_loss(zs, labels, embs, which, tau: float) -> ad.Tensor:
         p[rows, labels] -= 1.0
         g_c = ((float(g) / len(zs)) * p) * inv_tau
         return tuple(np.add.accumulate(grads_u(g_c[mine], da=False)[1][::-1], axis=0)[-1]
-                     for grads_u, mine in zip(grads, members))
+                     for grads_u, mine in zip(grads, groups))
 
     return ad.record("classification_loss", tuple(embs), out, grad_fn)
 

@@ -195,10 +195,9 @@ def forward(state: LearnerState, batch, config: TrainConfig, selections=None):
         selections = route(zs, bank, config.c)
 
     # Images that share a selection share its (K, d) class embeddings.
-    embs, which = class_text_embeddings(enc, bank, selections,
-                                        state.class_token_rows(candidates))
+    embs, groups = class_text_embeddings(enc, bank, selections, state.class_token_rows(candidates))
     l_m = classification_loss(zs, [label_index[sample.label] for sample in batch], embs,
-                              which, config.tau)
+                              groups, config.tau)
     l_k = (key_matching_loss(zs, selections, bank, config.distance) if config.lambda_k > 0
            else ad.constant(0.0))
     l_p = prompt_orthogonality_loss(bank, enc) if config.lambda_p > 0 else ad.constant(0.0)

@@ -309,10 +309,11 @@ class ChainTower:
         return stack([text_tower(self.encoders, take(x, i)) for i in range(x.shape[0])])
 
 
-def classification_chain(zs, labels, embs, which, tau) -> ad.Tensor:
+def classification_chain(zs, labels, embs, groups, tau) -> ad.Tensor:
     """``classification_loss`` as B (cosine_logits, neg_log_prob) pairs and their mean."""
-    nlls = [neg_log_prob(cosine_logits(ad.constant(z), embs[u], 1.0 / tau), label)
-            for z, label, u in zip(zs, labels, which)]
+    which = {i: u for u, rows in enumerate(groups) for i in rows}
+    nlls = [neg_log_prob(cosine_logits(ad.constant(z), embs[which[i]], 1.0 / tau), label)
+            for i, (z, label) in enumerate(zip(zs, labels))]
     return mean_all(concat(nlls))
 
 

@@ -100,7 +100,7 @@ def test_criterion_2_oracle_equivalence():
         worst = max(worst, float(np.abs(p - p_oracle).max() / np.abs(p_oracle).max()))
 
         label = int(g.integers(5))
-        lm = float(classification_loss([z], [label], [ad.constant(np.stack(embs))], [0],
+        lm = float(classification_loss([z], [label], [ad.constant(np.stack(embs))], [[0]],
                                        tau).values)
         lm_oracle = -np.log(p_oracle[label])
         worst = max(worst, abs(lm - lm_oracle) / max(1.0, abs(lm_oracle)))

@@ -175,7 +175,7 @@ def _fd_cases(seed):
         "mean": (x, lambda t: mean_all(t)),
         # samples 0 and 2 share the differentiated selection's embeddings
         "classification_loss": (x, lambda t: classification_loss(
-            zs, [2, 0, 1], [t, ad.constant(wx)], [0, 1, 0], 0.3)),
+            zs, [2, 0, 1], [t, ad.constant(wx)], [[0, 2], [1]], 0.3)),
         "key_matching_cosine": (keys, keys_loss("cosine")),
         "key_matching_mse": (keys, keys_loss("mse")),
         "key_matching_triplet": (keys, keys_loss("triplet")),

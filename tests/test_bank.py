@@ -230,15 +230,16 @@ def test_compose_minimal_lengths():
     bank = init_bank(2, 1, 4, seed=5)
     sel = select_top_c(scores(np.ones(4), bank.keys.values), 1)
     seq = compose_text_input(sel, bank.frozen_view())
-    assert seq.tokens.shape == (1, 4)
-    np.testing.assert_array_equal(seq.tokens.values[0], bank.prompts.values[sel.indices[0], 0])
+    assert seq.tokens.values[seq.rows].shape == (1, 1, 4)
+    np.testing.assert_array_equal(seq.tokens.values[seq.rows][0, 0],
+                                  bank.prompts.values[sel.indices[0], 0])
 
 
 def test_compose_reference_arity():
     bank = init_bank(10, 12, 16, seed=6)
     sel = select_top_c(scores(rng(7).standard_normal(16), bank.keys.values), 3)
     seq = compose_text_input(sel, bank.frozen_view())
-    assert seq.tokens.shape == (3 * 12, 16)
+    assert seq.tokens.values[seq.rows].shape == (3, 12, 16)
 
 
 def test_compose_matches_list_append_oracle():
@@ -249,17 +250,19 @@ def test_compose_matches_list_append_oracle():
         rows = []
         for i in sel.indices:
             rows.extend(list(bank.prompts.values[i]))
-        np.testing.assert_array_equal(seq.tokens.values, np.stack(rows))
+        np.testing.assert_array_equal(seq.tokens.values[seq.rows].reshape(-1, 6), np.stack(rows))
 
 
 def test_compose_ignores_unselected_prompt_mutation():
     bank = init_bank(4, 2, 5, seed=8)
     z = rng(9).standard_normal(5)
     sel = select_top_c(scores(z, bank.keys.values), 2)
-    before = compose_text_input(sel, bank.frozen_view()).tokens.values.copy()
+    seq = compose_text_input(sel, bank.frozen_view())
+    before = seq.tokens.values[seq.rows].copy()
     untouched = [i for i in range(4) if i not in sel.indices]
     bank.prompts.values[untouched[0]] += 99.0
-    after = compose_text_input(sel, bank.frozen_view()).tokens.values
+    seq = compose_text_input(sel, bank.frozen_view())
+    after = seq.tokens.values[seq.rows]
     np.testing.assert_array_equal(before, after)
 
 
@@ -301,20 +304,26 @@ def test_class_text_embeddings_encode_each_selection_once_in_order_of_first_appe
 
     enc.encode_text = counting_encode_text
     cache = {}
-    embs, which = class_text_embeddings(enc, bank, selections, class_rows, cache)
+    embs, groups = class_text_embeddings(enc, bank, selections, class_rows, cache)
     distinct = list(dict.fromkeys(sel.index_tuple for sel in selections))
-    assert len(distinct) > 1 and len(calls) == len(embs) == len(distinct)
+    assert len(distinct) > 1 and len(calls) == len(embs) == len(groups) == len(distinct)
     assert list(cache) == distinct and [cache[key] for key in distinct] == embs
-    assert which.tolist() == [distinct.index(sel.index_tuple) for sel in selections]
-    for sel, u in zip(selections, which):
-        want = encode_text(compose_text_input(sel, bank), class_rows).values
-        np.testing.assert_array_equal(embs[u].values, want)
+    # The groups partition the images, each in increasing order, by their own routing.
+    assert all(rows.dtype == np.int64 and (np.diff(rows) > 0).all() for rows in groups)
+    assert sorted(np.concatenate(groups).tolist()) == list(range(len(selections)))
+    for key, rows in zip(distinct, groups):
+        assert rows.tolist() == [i for i, sel in enumerate(selections) if sel.index_tuple == key]
+    for u, rows in enumerate(groups):
+        for i in rows:
+            want = encode_text(compose_text_input(selections[i], bank), class_rows).values
+            np.testing.assert_array_equal(embs[u].values, want)
 
-    again, which_again = class_text_embeddings(enc, bank, selections[::-1], class_rows, cache)
+    again, groups_again = class_text_embeddings(enc, bank, selections[::-1], class_rows, cache)
     assert len(calls) == len(distinct)  # every selection a cache hit
-    assert [e is cache[sel.index_tuple] for e, sel in zip(
-        (again[u] for u in which_again), selections[::-1])] == [True] * len(selections)
+    assert all(again[u] is cache[selections[::-1][i].index_tuple]
+               for u, rows in enumerate(groups_again) for i in rows)
 
     # Without a bank every image shares the empty prefix.
-    embs, which = class_text_embeddings(enc, None, route(np.zeros((3, 6)), None, 2), class_rows)
-    assert len(embs) == 1 and which.tolist() == [0, 0, 0] and len(calls) == len(distinct) + 1
+    embs, groups = class_text_embeddings(enc, None, route(np.zeros((3, 6)), None, 2), class_rows)
+    assert len(embs) == 1 and [rows.tolist() for rows in groups] == [[0, 1, 2]]
+    assert len(calls) == len(distinct) + 1

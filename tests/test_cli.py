@@ -153,14 +153,15 @@ def test_train_resume_matches_straight_run(tmp_path):
 
 
 def test_train_resume_picks_highest_task_index(tmp_path):
-    # after_task_99 sorts after after_task_100 by name; the resume must not read it.
+    # after_task_1 sorts after after_task_02 by name, as after_task_99 does after
+    # after_task_100; the resume must not read it. (A checkpoint's name must
+    # match its tasks done, so a 3-task run cannot hold an after_task_100.)
     cfg = write_config(tmp_path)
     full, partial = tmp_path / "full", tmp_path / "partial"
     assert cli.main(["train", "--config", cfg, "--out", str(full)]) == 0
     assert cli.main(["train", "--config", cfg, "--out", str(partial)]) == 0
     ckpts = partial / "checkpoints"
-    os.rename(ckpts / "after_task_02.ckpt", ckpts / "after_task_100.ckpt")
-    (ckpts / "after_task_99.ckpt").write_bytes(b"not a checkpoint")
+    (ckpts / "after_task_1.ckpt").write_bytes(b"not a checkpoint")
     assert cli.main(["train", "--config", cfg, "--out", str(partial), "--resume"]) == 0
     assert (full / "metrics.json").read_bytes() == (partial / "metrics.json").read_bytes()
 
@@ -236,6 +237,32 @@ def test_resume_from_checkpoint_with_removed_setting_exits_2(tmp_path, capsys, s
     capsys.readouterr()
     assert cli.main(["train", "--config", cfg, "--out", str(out), "--resume"]) == 2
     assert "malformed checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("after_task_01.ckpt", "tasks_done", "1"), ("after_task_01.ckpt", "tasks_done", 1.5),
+    ("after_task_01.ckpt", "tasks_done", None), ("after_task_01.ckpt", "tasks_done", -1),
+    ("after_task_01.ckpt", "tasks_done", True), ("after_task_01.ckpt", "tasks_done", 0),
+    ("after_task_01.ckpt", "tasks_done", 7), ("after_task_06.ckpt", "tasks_done", 7),
+    ("after_task_01.ckpt", "step_counter", "3"), ("after_task_01.ckpt", "step_counter", -1),
+    ("after_task_01.ckpt", "step_counter", True)])
+def test_resume_from_checkpoint_with_bad_counters_exits_2(tmp_path, capsys, name, key, value):
+    # The checksum is valid: only the meta counters are wrong for the file's
+    # name or for the 3-task stream.
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    ckpts = out / "checkpoints"
+    (ckpts / "after_task_02.ckpt").unlink()
+    sections = dio._parse_sections((ckpts / "after_task_01.ckpt").read_bytes(), name)
+    (ckpts / "after_task_01.ckpt").unlink()
+    meta = json.loads(sections["meta"].decode())
+    meta[key] = value
+    sections["meta"] = json.dumps(meta, sort_keys=True).encode()
+    (ckpts / name).write_bytes(dio._sections_blob(sections))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg, "--out", str(out), "--resume"]) == 2
+    assert "data error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "cdcl", "sweep", "gradcheck"])

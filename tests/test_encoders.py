@@ -138,7 +138,7 @@ def shared_and_chain(enc, prefix, tails):
 
     The shared tower is forward only: it puts nothing on the tape."""
     ad.reset_tape()
-    shared = enc.encode_text(TokenSequence(ad.constant(prefix)), ad.constant(tails))
+    shared = enc.encode_text(TokenSequence(ad.constant(prefix[None]), [0]), ad.constant(tails))
     assert not shared.requires_grad and not ad.active_tape()
     chain = np.concatenate([text_tower(enc, ad.constant(np.vstack([prefix, t]))).values
                             for t in tails])
@@ -210,36 +210,31 @@ def test_encode_text_rejects_wrong_dim_and_overlong():
     with pytest.raises(ad.ShapeError, match="positional"):
         enc.encode_text(TokenSequence(ad.constant(np.zeros((1, 5, 8)))))
     with pytest.raises(ad.ShapeError, match="positional"):
-        enc.encode_text(TokenSequence(ad.constant(np.zeros((4, 8)))), ad.constant(np.zeros((2, 8))))
+        enc.encode_text(TokenSequence(ad.constant(np.zeros((1, 4, 8))), [0]),
+                        ad.constant(np.zeros((2, 8))))
     with pytest.raises(ad.ShapeError, match="tails"):
-        enc.encode_text(TokenSequence(ad.constant(np.zeros((2, 8)))), ad.constant(np.zeros((2, 5))))
+        enc.encode_text(TokenSequence(ad.constant(np.zeros((1, 2, 8))), [0]),
+                        ad.constant(np.zeros((2, 5))))
     with pytest.raises(ad.ShapeError, match="tail"):
         enc.encode_text(TokenSequence(ad.constant(np.zeros((1, 0, 8)))))
 
 
-def test_plain_prefix_with_tails_on_the_tape_raises():
-    # Only rows of a stack take the prefix's gradient back; the prefix-shared
-    # tower has values only, so it must not take a prefix that needs one.
+def test_encode_text_takes_rows_exactly_with_tails():
+    # Tokens are always a stack. Rows of it are a prefix, which needs tails to
+    # end it; a whole stack is one sequence per entry, which takes none. Each
+    # mismatch raises before anything lands on the tape, on or off it.
     enc = make_pair(18)
-    prefix, tails = np.zeros((2, 8)), np.zeros((3, 8))
-    for seq, t in ((ad.parameter(prefix), ad.constant(tails)),
-                   (ad.constant(prefix), ad.parameter(tails))):
+    stack, tails = np.zeros((4, 2, 8)), np.zeros((3, 8))
+    for make in (ad.constant, ad.parameter):
         ad.reset_tape()
-        with pytest.raises(ad.ShapeError, match="tails"):
-            enc.encode_text(TokenSequence(seq), t)
-        assert not ad.active_tape()
-
-
-def test_encode_text_without_tails_needs_a_whole_stack():
-    # Without tails every sequence is a stack entry: a matrix, or rows of a
-    # stack, is a prefix and has no tail to end it.
-    enc = make_pair(18)
-    stack = np.zeros((4, 2, 8))
-    for seq in (TokenSequence(ad.constant(stack[0])), TokenSequence(ad.parameter(stack[0])),
-                TokenSequence(ad.parameter(stack), [2, 0])):
-        ad.reset_tape()
-        with pytest.raises(ad.ShapeError, match="without tails"):
-            enc.encode_text(seq)
+        with pytest.raises(ad.ShapeError, match="rows"):
+            enc.encode_text(TokenSequence(make(stack), [2, 0]))
+        for t in (ad.constant(tails), ad.parameter(tails)):
+            with pytest.raises(ad.ShapeError, match="rows"):
+                enc.encode_text(TokenSequence(make(stack)), t)
+        for tokens in (stack[0], stack[0, 0]):
+            with pytest.raises(ad.ShapeError, match="stack"):
+                TokenSequence(make(tokens))
         assert not ad.active_tape()
 
 

@@ -158,7 +158,8 @@ def test_evaluate_matches_brute_force_scorer():
         z = state.encoders.encode_image(s)
         sel = select_top_c(scores(z, state.bank.keys.values), cfg.c)
         best_cid, best_score = None, -np.inf
-        prefix = compose_text_input(sel, state.bank.frozen_view()).tokens.values
+        seq = compose_text_input(sel, state.bank.frozen_view())
+        prefix = seq.tokens.values[seq.rows].reshape(-1, seq.tokens.shape[2])
         for cid in candidates:
             seq = TokenSequence(ad.constant(np.vstack([prefix, state.class_tokens[cid]])[None]))
             w = state.encoders.encode_text(seq).values[0]

@@ -95,7 +95,7 @@ def as_rows(embs):
 
 
 def one_sample_loss(z, label, embs, tau):
-    return classification_loss([z], [label], [as_rows(embs)], [0], tau)
+    return classification_loss([z], [label], [as_rows(embs)], [[0]], tau)
 
 
 def test_classification_loss_single_class_is_zero():
@@ -131,7 +131,7 @@ def test_classification_loss_batch_is_mean():
         labels.append(label)
         rows.append(as_rows(embs))
         expected.append(cross_entropy_oracle(z, label, embs, 0.2))
-    got = float(classification_loss(zs, labels, rows, range(4), 0.2).values)
+    got = float(classification_loss(zs, labels, rows, [[i] for i in range(4)], 0.2).values)
     np.testing.assert_allclose(got, np.mean(expected), rtol=1e-10)
 
 
@@ -366,7 +366,7 @@ def fused_and_chain(build, backward_into):
 def test_classification_loss_is_its_per_sample_chain_bit_for_bit(b):
     _, zs, selections = routed_batch(b)
     distinct = list(dict.fromkeys(sel.index_tuple for sel in selections))
-    which = [distinct.index(sel.index_tuple) for sel in selections]
+    groups = [[i for i, sel in enumerate(selections) if sel.index_tuple == key] for key in distinct]
     g = rng(300 + b)
     starts = g.standard_normal((len(distinct), 5, D))
     labels = g.integers(5, size=b)
@@ -374,7 +374,7 @@ def test_classification_loss_is_its_per_sample_chain_bit_for_bit(b):
     def build(fused):
         embs = [ad.parameter(s.copy()) for s in starts]
         loss_fn = classification_loss if fused else classification_chain
-        return loss_fn(zs, labels, embs, which, 0.07), embs
+        return loss_fn(zs, labels, embs, groups, 0.07), embs
 
     got, want = fused_and_chain(build, lambda e: e.grad)
     for a, w in zip(got, want):

@@ -139,10 +139,11 @@ def test_train_step_matches_fd_sgd_oracle():
         ad.reset_tape()
         candidates = state.seen_classes()
         from attribank.bank import compose_text_input
-        prefix = compose_text_input(frozen_sel, state.bank.frozen_view()).tokens
+        seq = compose_text_input(frozen_sel, state.bank.frozen_view())
+        prefix = seq.tokens.values[seq.rows].reshape(-1, dim)
         embs = concat([state.encoders.encode_text(TokenSequence(ad.constant(np.vstack(
-            [prefix.values, state.class_tokens[cid]])[None]))) for cid in candidates])
-        l_m = classification_loss([z], [candidates.index(batch[0].label)], [embs], [0], cfg.tau)
+            [prefix, state.class_tokens[cid]])[None]))) for cid in candidates])
+        l_m = classification_loss([z], [candidates.index(batch[0].label)], [embs], [[0]], cfg.tau)
         l_k = key_matching_loss([z], [frozen_sel], state.bank, cfg.distance)
         l_p = prompt_orthogonality_loss(state.bank, state.encoders)
         val = float(total_loss(l_m, l_k, l_p, cfg.lambda_k, cfg.lambda_p).values)
