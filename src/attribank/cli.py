@@ -36,6 +36,8 @@ import sys
 from datetime import datetime, timezone
 from importlib import resources
 
+import numpy as np
+
 from . import __version__
 from . import autodiff as ad
 from . import data_io as dio
@@ -205,7 +207,7 @@ def _train(raw: dict, out: str, mode: str | None, seed: int | None, resume: bool
     os.makedirs(os.path.join(out, "task_reports"), exist_ok=True)
 
     cfg = preset(mode, cfg)
-    state = None
+    state = init_state(mode, cfg, stream)
     matrix = None
     start_task = 0
     if resume:
@@ -213,6 +215,7 @@ def _train(raw: dict, out: str, mode: str | None, seed: int | None, resume: bool
                  map(_CKPT_NAME.fullmatch, os.listdir(os.path.join(out, "checkpoints"))) if m}
         if ckpts:
             name = ckpts[max(ckpts)]
+            built = dio.encoder_meta(state.encoders)
             state, ckpt_cfg = dio.read_checkpoint(os.path.join(out, "checkpoints", name))
             if state.mode != mode:
                 raise ConfigError(f"--resume: {name} was written in mode {state.mode!r}, "
@@ -224,6 +227,15 @@ def _train(raw: dict, out: str, mode: str | None, seed: int | None, resume: bool
             if not state.tasks_done == max(ckpts) + 1 <= len(stream.tasks):
                 raise dio.DataError(f"--resume: {name} records {state.tasks_done} tasks done; its "
                                     f"name says {max(ckpts) + 1}, the stream has {len(stream.tasks)}")
+            held = dio.encoder_meta(state.encoders)
+            if held != built:
+                raise dio.DataError(f"--resume: {name} holds the encoders {held}, "
+                                    f"not the run's {built}")
+            seen = [cid for task in stream.tasks[:state.tasks_done] for cid in task.class_ids]
+            if sorted(state.class_tokens) != sorted(seen) or not all(
+                    np.array_equal(state.class_tokens[cid], stream.class_tokens[cid]) for cid in seen):
+                raise dio.DataError(f"--resume: {name} does not hold the class tokens of the "
+                                    f"stream's first {state.tasks_done} tasks")
             matrix_path = os.path.join(out, "accuracy_matrix.json")
             try:
                 matrix = AccuracyMatrix.from_dict(_read_run_json(matrix_path))
@@ -233,8 +245,6 @@ def _train(raw: dict, out: str, mode: str | None, seed: int | None, resume: bool
                 raise dio.DataError(f"{matrix_path}: {matrix.num_tasks} tasks, "
                                     f"the stream has {len(stream.tasks)}")
             start_task = state.tasks_done
-    if state is None:
-        state = init_state(mode, cfg, stream)
     state.data_hash = data_hash
 
     # The checkpoint is written last: it marks the task done only once the

@@ -330,6 +330,16 @@ def _unpack_array(payload: bytes, offset: int = 0):
     return arr.astype(np.float64), offset + count * 8
 
 
+def _unpack_whole_array(payload: bytes, name: str) -> np.ndarray:
+    """The one finite array that fills the section ``name``."""
+    arr, end = _unpack_array(payload)
+    if end != len(payload):
+        raise ValueError(f"{name}: {len(payload) - end} trailing bytes")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name}: non-finite values")
+    return arr
+
+
 def _sections_blob(sections: dict) -> bytes:
     buf = io.BytesIO()
     buf.write(CKPT_MAGIC)
@@ -372,6 +382,12 @@ def _parse_sections(blob: bytes, path: str) -> dict:
     return sections
 
 
+def encoder_meta(encoders) -> dict:
+    """The settings that rebuild ``encoders``, as a checkpoint records them."""
+    return {"d": encoders.d, "image_width": encoders.image_width, "seed": encoders.weights.seed,
+            "max_tokens": encoders.max_tokens, "backend": encoders.backend}
+
+
 def write_checkpoint(state, config, path: str) -> None:
     """Persist a learner state so a resumed run is bit-identical."""
     meta = {
@@ -379,13 +395,7 @@ def write_checkpoint(state, config, path: str) -> None:
         "data_hash": state.data_hash,
         "step_counter": state.step_counter,
         "tasks_done": state.tasks_done,
-        "encoder": {
-            "d": state.encoders.d,
-            "image_width": state.encoders.image_width,
-            "seed": state.encoders.weights.seed,
-            "max_tokens": state.encoders.max_tokens,
-            "backend": state.encoders.backend,
-        },
+        "encoder": encoder_meta(state.encoders),
     }
     sections = {
         "meta": json.dumps(meta, sort_keys=True).encode(),
@@ -431,8 +441,8 @@ def _state_from_sections(sections: dict):
                                  backend=enc_info["backend"])
     bank = None
     if "bank_keys" in sections:
-        keys, _ = _unpack_array(sections["bank_keys"])
-        prompts, _ = _unpack_array(sections["bank_prompts"])
+        keys, prompts = (_unpack_whole_array(sections[name], name)
+                         for name in ("bank_keys", "bank_prompts"))
         n = preset(mode, config).n
         if keys.shape != (n, encoders.d) or prompts.shape != (n, config.m, encoders.d):
             raise ValueError(f"bank of shape {keys.shape}/{prompts.shape} does not fit "
@@ -446,7 +456,12 @@ def _state_from_sections(sections: dict):
         (cid,) = struct.unpack_from("<I", payload, offset)
         offset += 4
         arr, offset = _unpack_array(payload, offset)
+        if arr.shape != (encoders.d,) or not np.isfinite(arr).all():
+            raise ValueError(f"class token {cid} of shape {arr.shape} is not a finite "
+                             f"({encoders.d},) vector")
         tokens[int(cid)] = arr
+    if offset != len(payload):
+        raise ValueError(f"class_tokens: {len(payload) - offset} trailing bytes")
     state = LearnerState(mode=mode, bank=bank, encoders=encoders, class_tokens=tokens,
                          step_counter=meta["step_counter"], tasks_done=meta["tasks_done"],
                          top_c=config.c, data_hash=meta["data_hash"])

@@ -25,6 +25,9 @@ once, and each tail adds one score row and one score column. Training runs
 every sequence through the tower on its own as one tape node, stacked over
 a (K, s, d) array with numpy forms that equal their per-slice calls, so its
 values and gradients are those of one sequence at a time, bit for bit.
+That node keeps only the (K, s, s) attention and the tokens plus positions
+of the prefix and of the K tails; its backward rebuilds the (K, s, d) token
+stacks with the same calls, so the tape holds about a third of the bytes.
 """
 
 from __future__ import annotations
@@ -235,11 +238,20 @@ class FrozenEncoderPair:
         every row, forward and backward, is that of the primitive chain add,
         matmul, transpose, matmul, scale, softmax_logits, matmul, matmul,
         matmul on its sequence alone, bit for bit. The elementwise steps run
-        in place, in that order; backward writes only into arrays it made
-        itself, so the arrays the node saved stay as forward left them.
-        Training runs on it: the prompt updates amplify a one-ulp change in
-        the embeddings until the accuracies move, so the prefix-shared
-        arithmetic stays out of it.
+        in place, in that order. Training runs on it: the prompt updates
+        amplify a one-ulp change in the embeddings until the accuracies move,
+        so the prefix-shared arithmetic stays out of it.
+
+        The node keeps the attention, ``head`` (the prefix plus its positions:
+        one (1, n, d) block for rows of a stack, the whole stack without
+        tails) and ``tail`` (the K tails plus their position). ``tokens()``
+        copies those into the (K, s, d) stack ``xp`` and derives its
+        transposed copy and ``xp @ mix`` from it; forward drops the three
+        after pooling and backward calls ``tokens()`` again. The values,
+        layouts and BLAS calls are the same both times, so are the bits; a
+        different layout is not (``xm @ xp.mT`` for ``xm @ xp_t`` changes
+        the scores at some lengths). Backward writes only into arrays it made
+        itself, so the attention stays as forward left it.
 
         With ``seq.rows`` the node reads the rows of the stack itself and adds
         each sequence's gradient into them in place, for k = K-1 ... 0: the
@@ -251,23 +263,30 @@ class FrozenEncoderPair:
         psi, alpha = self.weights.psi, self._inv_sqrt_d
         mix, proj, pos = psi["w_mix"], psi["w_proj"], psi["pos"]
         k = len(prefix) if tails is None else tails.shape[0]
-        xp = np.empty((k, n + (tails is not None), self.d))  # tokens plus positions
-        np.add(prefix, pos[:n], out=xp[:, :n])
-        if tails is not None:
-            np.add(tails.values, pos[n], out=xp[:, n])
-        s = xp.shape[1]
-        xp_t = np.ascontiguousarray(xp.mT)
-        xm = xp @ mix
+        s = n + (tails is not None)
+        head = prefix + pos[:n]  # tokens plus positions
+        tail = None if tails is None else tails.values + pos[n]
+
+        def tokens():
+            xp = np.empty((k, s, self.d))
+            xp[:, :n] = head
+            if tail is not None:
+                xp[:, n] = tail
+            return xp, np.ascontiguousarray(xp.mT), xp @ mix
+
+        xp, xp_t, xm = tokens()
         attn = xm @ xp_t  # the scores, scaled, shifted, exponentiated and normalised in place
         attn *= alpha
         attn -= attn.max(axis=-1, keepdims=True)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
-        pool = np.full(s, 1.0 / s)
-        pooled = np.matmul(pool, attn @ xp)  # (s,) @ (K, s, d) -> (K, d)
+        pooled = np.matmul(np.full(s, 1.0 / s), attn @ xp)  # (s,) @ (K, s, d) -> (K, d)
+        del xp, xp_t, xm
 
         def grad_fn(g):
-            g_mixed = pool[:, None] * (proj.T @ g[..., None]).mT  # one outer product per row
+            xp, xp_t, xm = tokens()
+            g_mixed = np.empty((k, s, self.d))  # every row the same (1/s) (proj.T g_k)
+            g_mixed[:] = (proj.T @ g[..., None]).mT * (1.0 / s)
             g_scores = g_mixed @ xp.mT  # d/d attn, then d/d scores in place
             g_scores -= (g_scores * attn).sum(axis=-1, keepdims=True)
             g_scores *= attn

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -260,6 +261,60 @@ def test_resume_from_checkpoint_with_bad_counters_exits_2(tmp_path, capsys, name
     meta[key] = value
     sections["meta"] = json.dumps(meta, sort_keys=True).encode()
     (ckpts / name).write_bytes(dio._sections_blob(sections))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg, "--out", str(out), "--resume"]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def _pack_tokens(tokens):
+    return struct.pack("<I", len(tokens)) + b"".join(
+        struct.pack("<I", cid) + dio._pack_array(tok) for cid, tok in sorted(tokens.items()))
+
+
+def _nan_at_0(arr):
+    arr = arr.copy()
+    arr.flat[0] = np.nan
+    return arr
+
+
+# Each rewrites one part of after_task_00.ckpt of a 3-task run (d = 8,
+# classes 0 and 1 trained), or pads a section, keeping the checksum valid.
+CHECKPOINT_DISAGREEMENTS = {
+    "encoder seed": lambda p: p["meta"]["encoder"].update(seed=99),
+    "encoder backend": lambda p: p["meta"]["encoder"].update(backend="lookup"),
+    "encoder max_tokens": lambda p: p["meta"]["encoder"].update(max_tokens=2),
+    "missing class": lambda p: p["tokens"].pop(1),
+    "extra class": lambda p: p["tokens"].update({2: p["tokens"][0]}),
+    "token value": lambda p: p["tokens"].update({1: p["tokens"][1] + 1e-3}),
+    "token shape": lambda p: p["tokens"].update({1: np.ones(17)}),
+    "nan token": lambda p: p["tokens"].update({1: _nan_at_0(p["tokens"][1])}),
+    "nan key": lambda p: p.update(keys=_nan_at_0(p["keys"])),
+    "token trailing bytes": lambda p: p["pad"].update(class_tokens=bytes(8)),
+    "keys trailing bytes": lambda p: p["pad"].update(bank_keys=bytes(8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_DISAGREEMENTS))
+def test_resume_from_checkpoint_that_disagrees_with_its_run_exits_2(tmp_path, capsys, case):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    ckpts = out / "checkpoints"
+    for t in (1, 2):
+        (ckpts / f"after_task_{t:02d}.ckpt").unlink()
+    path = ckpts / "after_task_00.ckpt"
+    sections = dio._parse_sections(path.read_bytes(), str(path))
+    state, _ = dio.read_checkpoint(str(path))
+    parts = {"meta": json.loads(sections["meta"].decode()), "tokens": dict(state.class_tokens),
+             "keys": state.bank.keys.values, "pad": {}}
+    assert sorted(parts["tokens"]) == [0, 1] and parts["meta"]["encoder"]["d"] == 8
+    CHECKPOINT_DISAGREEMENTS[case](parts)
+    sections["meta"] = json.dumps(parts["meta"], sort_keys=True).encode()
+    sections["bank_keys"] = dio._pack_array(parts["keys"])
+    sections["class_tokens"] = _pack_tokens(parts["tokens"])
+    for name, pad in parts["pad"].items():
+        sections[name] += pad
+    path.write_bytes(dio._sections_blob(sections))
     capsys.readouterr()
     assert cli.main(["train", "--config", cfg, "--out", str(out), "--resume"]) == 2
     assert "data error" in capsys.readouterr().err

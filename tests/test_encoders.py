@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,31 @@ def test_encode_text_keeps_a_shift_per_prompt_row_and_class():
     shared, chain = shared_and_chain(enc, prefix, tails)
     assert np.isfinite(shared).all()
     assert rel_err(shared, chain) <= 1e-12
+
+
+def test_training_node_keeps_little_more_than_its_attention():
+    # A training node keeps the (K, s, s) attention, the prefix plus
+    # positions and the K tails plus positions; backward rebuilds the
+    # (K, s, d) token stacks. At the benchmark's widest step that is about
+    # 1.06x the attention, and keeping even one stack more (d/s = 0.86x the
+    # attention) breaks the bound.
+    k, c, m, d = 80, 3, 12, 32
+    s = c * m + 1
+    enc = make_pair(0, d=d, max_tokens=s)
+    g = rng(1)
+    prompts = ad.parameter(g.standard_normal((10, m, d)))
+    tails = ad.constant(g.standard_normal((k, d)))
+    seq = TokenSequence(prompts, [0, 4, 7])
+    ad.reset_tape()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = enc.encode_text(seq, tails)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad and len(ad.active_tape()) == 1
+    assert kept <= 1.25 * k * s * s * 8, kept / (k * s * s * 8)
 
 
 def test_encoder_weights_are_write_protected():

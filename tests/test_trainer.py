@@ -171,32 +171,34 @@ def test_train_step_matches_fd_sgd_oracle():
         assert np.abs(p.values - expected).max() <= 1e-10
 
 
-def test_training_class_embeddings_keep_the_unshared_arithmetic_bit_for_bit():
+@pytest.mark.parametrize("k", [1, 4, 20, 40, 80])
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_training_class_embeddings_keep_the_unshared_arithmetic_bit_for_bit(c, k):
     # Training's trajectory amplifies a one-ulp change, so on a parameter bank
     # the stacked tower must equal one primitive chain per sequence, at the
-    # benchmark's sizes and K = 4 ... 80 classes: in values, and in the prompt
-    # gradient. L_p's node (all n = 10 standalone prompts) comes last on the
-    # tape, so it has written to every prompt row before the class embeddings
-    # add into them; two selections share row 4.
-    c, m, d, n = 3, 12, 32, 10
-    sels = [Selection([0, 4, 7]), Selection([4, 2, 9])]
-    for k in (4, 20, 40, 80):
-        enc = FrozenEncoderPair(d=d, image_width=d, seed=k, max_tokens=c * m + 16)
-        g = rng(k)
-        class_rows = ad.constant(g.standard_normal((k, d)))
-        weights = g.standard_normal((len(sels), k, d))
-        results = []
-        for tower in (enc, ChainTower(enc)):
-            bank = init_bank(n, m, d, seed=k)
-            ad.reset_tape()
-            embs = class_text_embeddings(tower, bank, sels, class_rows)[0]
-            loss = prompt_orthogonality_loss(bank, tower)
-            for e, w in zip(embs, weights):
-                loss = add(loss, sum_all(mul(e, ad.constant(w))))
-            ad.backward(loss)
-            results.append([e.values for e in embs] + [loss.values, bank.prompts.grad])
-        for got, want in zip(*results):
-            np.testing.assert_array_equal(got, want, err_msg=f"K={k}")
+    # benchmark's sizes and C = 1 ... 3, K = 1 ... 80 (BLAS picks its kernel
+    # by shape): in values, and in the prompt gradient. L_p's node (all
+    # n = 10 standalone prompts) comes last on the tape, so it has written to
+    # every prompt row before the class embeddings add into them; from C = 2
+    # on, two selections share row 4.
+    m, d, n = 12, 32, 10
+    sels = [Selection([0, 4, 7][:c]), Selection([4, 2, 9][:c])]
+    enc = FrozenEncoderPair(d=d, image_width=d, seed=k, max_tokens=c * m + 16)
+    g = rng(k)
+    class_rows = ad.constant(g.standard_normal((k, d)))
+    weights = g.standard_normal((len(sels), k, d))
+    results = []
+    for tower in (enc, ChainTower(enc)):
+        bank = init_bank(n, m, d, seed=k)
+        ad.reset_tape()
+        embs = class_text_embeddings(tower, bank, sels, class_rows)[0]
+        loss = prompt_orthogonality_loss(bank, tower)
+        for e, w in zip(embs, weights):
+            loss = add(loss, sum_all(mul(e, ad.constant(w))))
+        ad.backward(loss)
+        results.append([e.values for e in embs] + [loss.values, bank.prompts.grad])
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_forward_puts_one_tower_node_per_selection_whatever_the_class_count():
