@@ -42,9 +42,6 @@ class AttributeBank:
     def n(self) -> int:
         return self.keys.shape[0]
 
-    def trainable_parameters(self) -> list:
-        return [self.keys, self.prompts]
-
     def frozen_view(self) -> "AttributeBank":
         """Read-only snapshot sharing the same value buffers (for evaluation)."""
         return AttributeBank(ad.constant(self.keys.values), ad.constant(self.prompts.values))

@@ -120,7 +120,7 @@ def _build_stream(data_cfg: dict):
     if kind == "synthetic":
         try:
             spec = dio.SyntheticSpec(**data_cfg.get("synthetic", {}))
-        except TypeError as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"bad synthetic spec: {e}") from None
         return dio.generate_synthetic(spec)
     if kind == "file":
@@ -156,15 +156,14 @@ def _data_hash(data_cfg: dict) -> str:
 def _build_stream_pair(data_cfg: dict):
     kind = data_cfg.get("kind")
     if kind == "synthetic_pair":
-        try:
-            spec_a = dio.SyntheticSpec(**data_cfg["a"])
-            spec_b = dio.SyntheticSpec(**data_cfg["b"])
-        except (KeyError, TypeError) as e:
-            raise ConfigError(f"bad synthetic_pair spec: {e}") from None
         shared = data_cfg.get("shared_attributes", 0)
         if isinstance(shared, bool) or not isinstance(shared, int):
             raise ConfigError(f"shared_attributes must be an integer, got {shared!r}")
-        return dio.generate_synthetic_pair(spec_a, spec_b, shared)
+        try:
+            return dio.generate_synthetic_pair(dio.SyntheticSpec(**data_cfg["a"]),
+                                               dio.SyntheticSpec(**data_cfg["b"]), shared)
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"bad synthetic_pair spec: {e}") from None
     raise ConfigError(f"cdcl needs data kind synthetic_pair, got {kind!r}")
 
 
@@ -180,7 +179,9 @@ def _write_manifest(out_dir: str, config_snapshot: dict, cfg: TrainConfig, outpu
     dump_json(manifest, os.path.join(out_dir, "manifest.json"))
 
 
-_CKPT_NAME = re.compile(r"after_task_(\d+)\.ckpt")
+# Only the names the run writes, f"after_task_{t:02d}.ckpt": were after_task_2
+# read as task 2 beside after_task_02, the listing order would pick the file.
+_CKPT_NAME = re.compile(r"after_task_(\d\d|[1-9]\d{2,})\.ckpt")
 
 
 def cmd_train(args) -> int:

@@ -13,9 +13,14 @@ Embedding file layout (everything little-endian):
 The file length must match the header-implied byte count exactly. Floats are
 32-bit on disk and widened to 64-bit in memory.
 
-Checkpoint container: magic "ATCK", u32 version, then length-prefixed named
-sections, then a trailing u64 checksum (first 8 bytes of the SHA-256 of all
-preceding bytes). Writes are atomic (write-temp-then-rename).
+Checkpoint container (version 2): magic "ATCK", u32 version, then named
+sections (u32 name length, name, u64 payload length, payload; no name twice),
+then a trailing u64 checksum (first 8 bytes of the SHA-256 of all preceding
+bytes). Writes are atomic (write-temp-then-rename). The sections are meta
+(JSON: mode, data_hash, tasks_done, encoder settings and class_ids), config
+(JSON), and the arrays class_tokens (K, d), one row per class_ids entry, and,
+unless the mode is zero_shot, bank_keys (n, d) and bank_prompts (n, m, d). An
+array section is u32 ndim, ndim u32 sizes, then the float64 values, to its end.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .util import atomic_write_bytes, check_number_types, keyed_rng
 EMBED_MAGIC = b"ATRB"
 EMBED_VERSION = 1
 CKPT_MAGIC = b"ATCK"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 _CTX_FEAT_ATTRS, _CTX_TOKEN_ATTRS, _CTX_SUBSET, _CTX_SAMPLES = 31, 32, 33, 34
 
@@ -112,13 +117,13 @@ class SyntheticSpec:
     def __post_init__(self):
         check_number_types(self)
         if self.attributes_per_class > self.num_latent_attributes:
-            raise DataError("attributes_per_class cannot exceed num_latent_attributes")
+            raise ValueError("attributes_per_class cannot exceed num_latent_attributes")
         for name in ("num_latent_attributes", "attributes_per_class", "num_tasks",
                      "classes_per_task", "samples_per_class", "feature_dim"):
             if getattr(self, name) < 1:
-                raise DataError(f"{name} must be positive")
+                raise ValueError(f"{name} must be positive")
         if self.noise_sigma < 0:
-            raise DataError("noise_sigma must be non-negative")
+            raise ValueError("noise_sigma must be non-negative")
 
 
 def _draw_spread_unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -199,10 +204,10 @@ def generate_synthetic_pair(spec_a: SyntheticSpec, spec_b: SyntheticSpec,
     ``shared_attributes`` latent directions appear in both.
     """
     if spec_a.feature_dim != spec_b.feature_dim:
-        raise DataError("paired streams must share feature_dim")
+        raise ValueError("paired streams must share feature_dim")
     if not 0 <= shared_attributes <= min(spec_a.num_latent_attributes,
                                          spec_b.num_latent_attributes):
-        raise DataError("shared_attributes out of range")
+        raise ValueError("shared_attributes out of range")
     na, nb = spec_a.num_latent_attributes, spec_b.num_latent_attributes
     total = na + nb - shared_attributes
     feat = _draw_spread_unit_vectors(
@@ -312,29 +317,18 @@ def assemble_stream(train_samples, test_samples, class_tokens: dict, d: int) -> 
 
 
 def _pack_array(arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    head = struct.pack("<I", arr.ndim) + b"".join(struct.pack("<I", s) for s in arr.shape)
-    return head + arr.astype("<f8").tobytes()
-
-
-def _unpack_array(payload: bytes, offset: int = 0):
-    (ndim,) = struct.unpack_from("<I", payload, offset)
-    offset += 4
-    shape = []
-    for _ in range(ndim):
-        (s,) = struct.unpack_from("<I", payload, offset)
-        shape.append(s)
-        offset += 4
-    count = int(np.prod(shape)) if shape else 1
-    arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
-    return arr.astype(np.float64), offset + count * 8
+    arr = np.asarray(arr, dtype="<f8")
+    return struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape) + arr.tobytes()
 
 
 def _unpack_whole_array(payload: bytes, name: str) -> np.ndarray:
-    """The one finite array that fills the section ``name``."""
-    arr, end = _unpack_array(payload)
-    if end != len(payload):
-        raise ValueError(f"{name}: {len(payload) - end} trailing bytes")
+    """The one finite array that fills the section ``name``, as ``_pack_array`` wrote it."""
+    (ndim,) = struct.unpack_from("<I", payload)
+    shape = np.frombuffer(payload, dtype="<u4", count=ndim, offset=4).tolist()
+    offset, count = 4 + 4 * ndim, math.prod(shape)
+    if len(payload) != offset + 8 * count:
+        raise ValueError(f"{name}: {len(payload)} bytes, its header implies {offset + 8 * count}")
+    arr = np.frombuffer(payload, "<f8", count, offset).reshape(shape).astype(np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: non-finite values")
     return arr
@@ -377,6 +371,8 @@ def _parse_sections(blob: bytes, path: str) -> dict:
         offset += 12 + name_len
         if offset + payload_len > len(body):
             raise TruncatedFileError(f"{path}: section {name} runs past end of file")
+        if name in sections:
+            raise DataError(f"{path}: section {name} appears twice")
         sections[name] = body[offset:offset + payload_len]
         offset += payload_len
     return sections
@@ -390,12 +386,13 @@ def encoder_meta(encoders) -> dict:
 
 def write_checkpoint(state, config, path: str) -> None:
     """Persist a learner state so a resumed run is bit-identical."""
+    class_ids = sorted(state.class_tokens)
     meta = {
         "mode": state.mode,
         "data_hash": state.data_hash,
-        "step_counter": state.step_counter,
         "tasks_done": state.tasks_done,
         "encoder": encoder_meta(state.encoders),
+        "class_ids": class_ids,
     }
     sections = {
         "meta": json.dumps(meta, sort_keys=True).encode(),
@@ -404,12 +401,8 @@ def write_checkpoint(state, config, path: str) -> None:
     if state.bank is not None:
         sections["bank_keys"] = _pack_array(state.bank.keys.values)
         sections["bank_prompts"] = _pack_array(state.bank.prompts.values)
-    tok = io.BytesIO()
-    tok.write(struct.pack("<I", len(state.class_tokens)))
-    for cid in sorted(state.class_tokens):
-        tok.write(struct.pack("<I", cid))
-        tok.write(_pack_array(state.class_tokens[cid]))
-    sections["class_tokens"] = tok.getvalue()
+    sections["class_tokens"] = _pack_array(np.reshape(
+        [state.class_tokens[cid] for cid in class_ids], (len(class_ids), state.encoders.d)))
     atomic_write_bytes(path, _sections_blob(sections))
 
 
@@ -425,9 +418,8 @@ def read_checkpoint(path: str):
 
 def _state_from_sections(sections: dict):
     meta = json.loads(sections["meta"].decode())
-    for key in ("step_counter", "tasks_done"):
-        if type(meta[key]) is not int or meta[key] < 0:
-            raise ValueError(f"{key} {meta[key]!r} is not a non-negative integer")
+    if type(meta["tasks_done"]) is not int or meta["tasks_done"] < 0:
+        raise ValueError(f"tasks_done {meta['tasks_done']!r} is not a non-negative integer")
     config = TrainConfig(**json.loads(sections["config"].decode()))
     mode = meta["mode"]
     expected = {"meta", "config", "class_tokens"}
@@ -448,21 +440,14 @@ def _state_from_sections(sections: dict):
             raise ValueError(f"bank of shape {keys.shape}/{prompts.shape} does not fit "
                              f"mode {mode!r} with n={n}, m={config.m}, d={encoders.d}")
         bank = AttributeBank(ad.parameter(keys), ad.parameter(prompts))
-    tokens = {}
-    payload = sections["class_tokens"]
-    (count,) = struct.unpack_from("<I", payload, 0)
-    offset = 4
-    for _ in range(count):
-        (cid,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        arr, offset = _unpack_array(payload, offset)
-        if arr.shape != (encoders.d,) or not np.isfinite(arr).all():
-            raise ValueError(f"class token {cid} of shape {arr.shape} is not a finite "
-                             f"({encoders.d},) vector")
-        tokens[int(cid)] = arr
-    if offset != len(payload):
-        raise ValueError(f"class_tokens: {len(payload) - offset} trailing bytes")
-    state = LearnerState(mode=mode, bank=bank, encoders=encoders, class_tokens=tokens,
-                         step_counter=meta["step_counter"], tasks_done=meta["tasks_done"],
+    class_ids = meta["class_ids"]
+    if (type(class_ids) is not list or any(type(cid) is not int or cid < 0 for cid in class_ids)
+            or len(set(class_ids)) != len(class_ids)):
+        raise ValueError(f"class_ids {class_ids!r} are not distinct non-negative integers")
+    tokens = _unpack_whole_array(sections["class_tokens"], "class_tokens")
+    if tokens.shape != (len(class_ids), encoders.d):
+        raise ValueError(f"class_tokens shape {tokens.shape}, not ({len(class_ids)}, {encoders.d})")
+    state = LearnerState(mode=mode, bank=bank, encoders=encoders,
+                         class_tokens=dict(zip(class_ids, tokens)), tasks_done=meta["tasks_done"],
                          top_c=config.c, data_hash=meta["data_hash"])
     return state, config

@@ -93,26 +93,19 @@ def preset(mode: str, config: TrainConfig) -> TrainConfig:
 
 @dataclass
 class LearnerState:
-    """Everything the learner owns: parameters, frozen encoders, class registry."""
+    """What the learner carries between tasks: bank, frozen encoders, class tokens, tasks done."""
 
     mode: str
     encoders: FrozenEncoderPair
     bank: AttributeBank | None = None
     class_tokens: dict = field(default_factory=dict)
-    step_counter: int = 0
     tasks_done: int = 0
     top_c: int = 1
-    selection_counts: np.ndarray | None = None
     data_hash: str = ""  # of the data section (and files) trained on; --resume compares it
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.selection_counts is None and self.bank is not None:
-            self.selection_counts = np.zeros(self.bank.n, dtype=np.int64)
-
-    def trainable_parameters(self) -> list:
-        return self.bank.trainable_parameters() if self.bank is not None else []
 
     def register_class(self, class_id: int, vector: np.ndarray) -> None:
         if class_id in self.class_tokens:
@@ -204,17 +197,15 @@ def forward(state: LearnerState, batch, config: TrainConfig, selections=None):
     return l_m, l_k, l_p, selections
 
 
-def train_step(state: LearnerState, batch, config: TrainConfig, lr: float) -> LossBreakdown:
-    """One forward/backward/SGD step on the bank at rate ``lr``; returns pre-step losses."""
+def train_step(state: LearnerState, batch, config: TrainConfig, lr: float) -> tuple:
+    """One forward/backward/SGD step at rate ``lr``; returns (pre-step losses, selections)."""
     config = preset(state.mode, config)
-    params = state.trainable_parameters()
+    params = () if state.bank is None else (state.bank.keys, state.bank.prompts)
 
     ad.reset_tape()
     for p in params:
         p.grad = None
     l_m, l_k, l_p, selections = forward(state, batch, config)
-    for sel in selections:
-        state.selection_counts[sel.indices] += 1
     total = total_loss(l_m, l_k, l_p, config.lambda_k, config.lambda_p)
     try:
         parts = breakdown(l_m, l_k, l_p, total)
@@ -226,8 +217,7 @@ def train_step(state: LearnerState, batch, config: TrainConfig, lr: float) -> Lo
     ad.reset_tape()
     if state.bank.min_key_norm() < KEY_NORM_FLOOR:
         raise ad.NumericError("key norm collapsed below floor after update")
-    state.step_counter += 1
-    return parts
+    return parts, selections
 
 
 def train_task(state: LearnerState, task, config: TrainConfig, class_tokens: dict) -> dict:
@@ -244,7 +234,6 @@ def train_task(state: LearnerState, task, config: TrainConfig, class_tokens: dic
     if state.bank is None:
         state.tasks_done += 1
         return {"task_id": task.task_id, "steps": 0, "epoch_losses": [], "lr_trace": []}
-    state.selection_counts = np.zeros(state.bank.n, dtype=np.int64)
     config = preset(state.mode, config)
 
     n_samples = len(task.train)
@@ -253,6 +242,7 @@ def train_task(state: LearnerState, task, config: TrainConfig, class_tokens: dic
 
     epoch_losses = []
     lr_trace = []
+    selection_counts = np.zeros(state.bank.n, dtype=np.int64)
     step_in_task = 0
     for epoch in range(config.epochs_per_task):
         order = keyed_rng(config.seed, _CTX_SHUFFLE, state.tasks_done, epoch).permutation(n_samples)
@@ -262,14 +252,16 @@ def train_task(state: LearnerState, task, config: TrainConfig, class_tokens: dic
             batch = [task.train[i] for i in idx]
             lr = lr_at(step_in_task, task_total, config.lr0)
             lr_trace.append(lr)
-            parts = train_step(state, batch, config, lr)
+            parts, selections = train_step(state, batch, config, lr)
+            for sel in selections:
+                selection_counts[sel.indices] += 1
             sums += [parts.l_m, parts.l_k, parts.l_p, parts.total]
             step_in_task += 1
         epoch_losses.append({k: v / steps_per_epoch for k, v in
                              zip(("l_m", "l_k", "l_p", "total"), sums)})
     state.tasks_done += 1
     return {"task_id": task.task_id, "steps": step_in_task, "epoch_losses": epoch_losses,
-            "lr_trace": lr_trace, "selection_histogram": state.selection_counts.tolist()}
+            "lr_trace": lr_trace, "selection_histogram": selection_counts.tolist()}
 
 
 def run_sequence(stream, config: TrainConfig, eval_hooks=(), state: LearnerState | None = None,

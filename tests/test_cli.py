@@ -1,6 +1,5 @@
 import json
 import os
-import struct
 
 import numpy as np
 import pytest
@@ -167,6 +166,21 @@ def test_train_resume_picks_highest_task_index(tmp_path):
     assert (full / "metrics.json").read_bytes() == (partial / "metrics.json").read_bytes()
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["sorted", "reversed"])
+def test_train_resume_ignores_names_the_run_does_not_write(tmp_path, monkeypatch, reverse):
+    # after_task_2 and after_task_02 both name task 2. Were both read, the
+    # directory listing's order would decide which one the resume loads.
+    cfg = write_config(tmp_path)
+    full, partial = tmp_path / "full", tmp_path / "partial"
+    assert cli.main(["train", "--config", cfg, "--out", str(full)]) == 0
+    assert cli.main(["train", "--config", cfg, "--out", str(partial)]) == 0
+    (partial / "checkpoints" / "after_task_2.ckpt").write_bytes(b"not a checkpoint")
+    listdir = os.listdir
+    monkeypatch.setattr(os, "listdir", lambda path: sorted(listdir(path), reverse=reverse))
+    assert cli.main(["train", "--config", cfg, "--out", str(partial), "--resume"]) == 0
+    assert (full / "metrics.json").read_bytes() == (partial / "metrics.json").read_bytes()
+
+
 def test_resume_after_crash_between_run_dir_writes(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     full, partial = tmp_path / "full", tmp_path / "partial"
@@ -244,12 +258,10 @@ def test_resume_from_checkpoint_with_removed_setting_exits_2(tmp_path, capsys, s
     ("after_task_01.ckpt", "tasks_done", "1"), ("after_task_01.ckpt", "tasks_done", 1.5),
     ("after_task_01.ckpt", "tasks_done", None), ("after_task_01.ckpt", "tasks_done", -1),
     ("after_task_01.ckpt", "tasks_done", True), ("after_task_01.ckpt", "tasks_done", 0),
-    ("after_task_01.ckpt", "tasks_done", 7), ("after_task_06.ckpt", "tasks_done", 7),
-    ("after_task_01.ckpt", "step_counter", "3"), ("after_task_01.ckpt", "step_counter", -1),
-    ("after_task_01.ckpt", "step_counter", True)])
+    ("after_task_01.ckpt", "tasks_done", 7), ("after_task_06.ckpt", "tasks_done", 7)])
 def test_resume_from_checkpoint_with_bad_counters_exits_2(tmp_path, capsys, name, key, value):
-    # The checksum is valid: only the meta counters are wrong for the file's
-    # name or for the 3-task stream.
+    # The checksum is valid: only the meta's task counter is wrong for the
+    # file's name or for the 3-task stream.
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
     assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
@@ -266,11 +278,6 @@ def test_resume_from_checkpoint_with_bad_counters_exits_2(tmp_path, capsys, name
     assert "data error" in capsys.readouterr().err
 
 
-def _pack_tokens(tokens):
-    return struct.pack("<I", len(tokens)) + b"".join(
-        struct.pack("<I", cid) + dio._pack_array(tok) for cid, tok in sorted(tokens.items()))
-
-
 def _nan_at_0(arr):
     arr = arr.copy()
     arr.flat[0] = np.nan
@@ -279,16 +286,23 @@ def _nan_at_0(arr):
 
 # Each rewrites one part of after_task_00.ckpt of a 3-task run (d = 8,
 # classes 0 and 1 trained), or pads a section, keeping the checksum valid.
+# ``ids`` is the meta's class_ids, ``tokens`` the (2, 8) class_tokens array.
 CHECKPOINT_DISAGREEMENTS = {
     "encoder seed": lambda p: p["meta"]["encoder"].update(seed=99),
     "encoder backend": lambda p: p["meta"]["encoder"].update(backend="lookup"),
     "encoder max_tokens": lambda p: p["meta"]["encoder"].update(max_tokens=2),
-    "missing class": lambda p: p["tokens"].pop(1),
-    "extra class": lambda p: p["tokens"].update({2: p["tokens"][0]}),
-    "token value": lambda p: p["tokens"].update({1: p["tokens"][1] + 1e-3}),
-    "token shape": lambda p: p["tokens"].update({1: np.ones(17)}),
-    "nan token": lambda p: p["tokens"].update({1: _nan_at_0(p["tokens"][1])}),
+    "missing class": lambda p: p.update(ids=[0], tokens=p["tokens"][:1]),
+    "extra class": lambda p: p.update(ids=[0, 1, 2], tokens=p["tokens"][[0, 1, 0]]),
+    "token value": lambda p: p.update(tokens=p["tokens"] + [[0.0], [1e-3]]),
+    "token shape": lambda p: p.update(tokens=np.ones((2, 17))),
+    "nan token": lambda p: p.update(tokens=_nan_at_0(p["tokens"])),
     "nan key": lambda p: p.update(keys=_nan_at_0(p["keys"])),
+    "bool class id": lambda p: p.update(ids=[0, True]),
+    "float class id": lambda p: p.update(ids=[0, 1.0]),
+    "negative class id": lambda p: p.update(ids=[0, -1]),
+    "repeated class id": lambda p: p.update(ids=[1, 1]),
+    "more ids than tokens": lambda p: p.update(ids=[0, 1, 2]),
+    "fewer ids than tokens": lambda p: p.update(ids=[0]),
     "token trailing bytes": lambda p: p["pad"].update(class_tokens=bytes(8)),
     "keys trailing bytes": lambda p: p["pad"].update(bank_keys=bytes(8)),
 }
@@ -305,13 +319,14 @@ def test_resume_from_checkpoint_that_disagrees_with_its_run_exits_2(tmp_path, ca
     path = ckpts / "after_task_00.ckpt"
     sections = dio._parse_sections(path.read_bytes(), str(path))
     state, _ = dio.read_checkpoint(str(path))
-    parts = {"meta": json.loads(sections["meta"].decode()), "tokens": dict(state.class_tokens),
-             "keys": state.bank.keys.values, "pad": {}}
-    assert sorted(parts["tokens"]) == [0, 1] and parts["meta"]["encoder"]["d"] == 8
+    meta = json.loads(sections["meta"].decode())
+    parts = {"meta": meta, "ids": meta["class_ids"], "keys": state.bank.keys.values, "pad": {},
+             "tokens": np.stack([state.class_tokens[cid] for cid in meta["class_ids"]])}
+    assert parts["ids"] == [0, 1] and meta["encoder"]["d"] == 8
     CHECKPOINT_DISAGREEMENTS[case](parts)
-    sections["meta"] = json.dumps(parts["meta"], sort_keys=True).encode()
+    sections["meta"] = json.dumps({**meta, "class_ids": parts["ids"]}, sort_keys=True).encode()
     sections["bank_keys"] = dio._pack_array(parts["keys"])
-    sections["class_tokens"] = _pack_tokens(parts["tokens"])
+    sections["class_tokens"] = dio._pack_array(parts["tokens"])
     for name, pad in parts["pad"].items():
         sections[name] += pad
     path.write_bytes(dio._sections_blob(sections))
@@ -551,6 +566,29 @@ def test_number_of_the_wrong_type_exits_1(tmp_path, capsys, command, section, ke
     assert "config error" in capsys.readouterr().err
 
 
+# In type but out of range: a config error, as the same mistake in the train
+# section is. The rejection-budget failure stays a data error (test_data_io).
+@pytest.mark.parametrize("command, section, key, value", [
+    ("train", "synthetic", "num_tasks", 0),
+    ("train", "synthetic", "noise_sigma", -1.0),
+    ("train", "synthetic", "attributes_per_class", 7),
+    ("cdcl", "data", "shared_attributes", 7),
+    ("cdcl", "data", "shared_attributes", -1),
+    ("cdcl", "b", "feature_dim", 16),
+])
+def test_synthetic_spec_out_of_range_exits_1(tmp_path, capsys, command, section, key, value):
+    path = cdcl_config(tmp_path) if command == "cdcl" else write_config(tmp_path)
+    raw = json.loads(open(path).read())
+    target = raw["data"] if section == "data" else raw["data"][section]
+    target[key] = value
+    with open(path, "w") as f:
+        json.dump(raw, f)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_continues_past_invalid_value(tmp_path):
     out = tmp_path / "sweep"
     rc = cli.main(["sweep", "--config", write_config(tmp_path), "--out", str(out),
@@ -662,7 +700,8 @@ class _Cut(BaseException):
 
 def _run_outputs(out):
     names = ["metrics.json", "accuracy_matrix.json", "accuracy_matrix.csv"]
-    names += [os.path.join("task_reports", f) for f in sorted(os.listdir(out / "task_reports"))]
+    for sub in ("task_reports", "checkpoints"):
+        names += [os.path.join(sub, f) for f in sorted(os.listdir(out / sub))]
     return {name: (out / name).read_bytes() for name in names}
 
 
@@ -672,7 +711,7 @@ def test_resume_from_every_task_boundary_matches_straight_run(tmp_path, monkeypa
     full = tmp_path / "full"
     assert cli.main(["train", "--config", cfg, "--out", str(full), "--mode", mode]) == 0
     want = _run_outputs(full)
-    assert len(want) == 3 + 3
+    assert len(want) == 3 + 3 + 3
     write_checkpoint = dio.write_checkpoint
     for cut in range(3):
         def write_then_cut(state, config, path, cut=cut):

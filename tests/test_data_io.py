@@ -274,6 +274,17 @@ def valid_files(tmp_path_factory):
             root / "mutant")
 
 
+def test_checkpoint_repeated_section_is_data_error(valid_files):
+    # A second, well-formed bank_keys section after the first, checksum valid.
+    blob, _, path = valid_files
+    keys = dio._parse_sections(blob, "valid.ckpt")["bank_keys"]
+    keys = dio._pack_array(dio._unpack_whole_array(keys, "bank_keys") + 1.0)
+    body = blob[:-8] + struct.pack("<I", 9) + b"bank_keys" + struct.pack("<Q", len(keys)) + keys
+    path.write_bytes(_with_checksum(body))
+    with pytest.raises(dio.DataError, match="section bank_keys appears twice"):
+        dio.read_checkpoint(str(path))
+
+
 # One edit of a file: overwrite a byte, insert a byte, or cut the file short.
 _EDIT = st.tuples(st.sampled_from(["set", "insert", "cut"]), st.floats(0, 1),
                   st.integers(0, 255))
